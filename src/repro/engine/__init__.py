@@ -9,9 +9,8 @@ Public surface:
   cancellation, dead-kernel elimination, cascade collapse), and emit an
   :class:`InferenceSession`.
 * :class:`InferenceSession` -- the thin executor over the emitted plan
-  (batching, streaming, ``plan_summary()`` introspection).  Direct
-  construction is deprecated in favor of :func:`compile`;
-  :func:`compile_model` is a thin functional alias.
+  (batching, streaming, ``plan_summary()`` introspection).  It has no
+  public constructor: :func:`compile` is the only way to build one.
 * :func:`get_fft_backend` / :func:`available_backends` -- the FFT
   dispatch layer (scipy with thread workers when installed, numpy
   fallback otherwise).
@@ -30,22 +29,21 @@ from repro.engine.backends import (
     get_fft_backend,
 )
 from repro.engine.passes import OPTIMIZE_LEVELS, optimize_plan
-from repro.engine.plan import Plan, count_ops, emit, format_plan, lower
+from repro.engine.plan import COMPILABLE_MODELS, Plan, count_ops, emit, format_plan, lower
 from repro.engine.session import (
     COMPLEX64_LOGIT_ATOL,
     InferenceSession,
     compile,
-    compile_model,
 )
 from repro.engine.spec import SessionSpec
 
 __all__ = [
     "compile",
     "InferenceSession",
-    "compile_model",
     "SessionSpec",
     "COMPLEX64_LOGIT_ATOL",
     "OPTIMIZE_LEVELS",
+    "COMPILABLE_MODELS",
     "Plan",
     "lower",
     "emit",

@@ -62,6 +62,7 @@ from repro.models.segmentation import SegmentationDONN
 from repro.optics.propagation import FraunhoferPropagator, Propagator
 
 __all__ = [
+    "COMPILABLE_MODELS",
     "Op",
     "Encode",
     "FFT",
@@ -84,6 +85,11 @@ __all__ = [
 ]
 
 FieldFn = Callable[[np.ndarray], np.ndarray]
+
+#: The model families :func:`lower` knows how to compile.  This tuple is
+#: the one definition of "compilable": the engine, the serving registry,
+#: the replica groups and the model store all check against it.
+COMPILABLE_MODELS = (DONN, MultiChannelDONN, SegmentationDONN)
 
 
 def _real_dtype(cdtype: np.dtype) -> np.dtype:
@@ -466,17 +472,16 @@ def lower(model, dtype="complex128") -> Plan:
     updates do **not** propagate into the plan's cached arrays.  Raises
     ``TypeError`` for anything but the three compilable model families.
     """
+    if not isinstance(model, COMPILABLE_MODELS):
+        expected = ", ".join(cls.__name__ for cls in COMPILABLE_MODELS)
+        raise TypeError(f"cannot compile {type(model).__name__}; expected one of {expected}")
     cdtype = np.dtype(dtype)
     if isinstance(model, SegmentationDONN):
         lower_fn = _lower_segmentation
     elif isinstance(model, MultiChannelDONN):
         lower_fn = _lower_multichannel
-    elif isinstance(model, DONN):
-        lower_fn = _lower_donn
     else:
-        raise TypeError(
-            f"cannot compile {type(model).__name__}; expected DONN, MultiChannelDONN or SegmentationDONN"
-        )
+        lower_fn = _lower_donn
     was_training = model.training
     model.eval()
     try:

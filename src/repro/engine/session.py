@@ -23,16 +23,11 @@ match the autograd eval path to ``atol=1e-10``; the opt-in
 kernel and intermediate, trading exactness for a documented accuracy
 budget of :data:`COMPLEX64_LOGIT_ATOL` on detector logits (see
 ``tests/test_engine.py``).
-
-Constructing ``InferenceSession(model, ...)`` directly still works but
-is deprecated; it is the same pipeline with a ``DeprecationWarning`` on
-the way in.
 """
 
 from __future__ import annotations
 
 import pickle
-import warnings
 from typing import Callable, Optional
 
 import numpy as np
@@ -58,18 +53,14 @@ def _resolve_complex_dtype(dtype) -> np.dtype:
 class InferenceSession:
     """A trained DONN compiled for batched, autograd-free serving.
 
-    Build sessions with :func:`repro.engine.compile`; the direct
-    ``InferenceSession(model, ...)`` constructor is deprecated (it still
-    works, running the identical pipeline, but warns).
+    Sessions are built only by :func:`repro.engine.compile`; the class
+    has no public constructor.  The model is snapshotted in eval mode at
+    compile time; its train/eval mode is restored afterwards and later
+    parameter updates do **not** propagate into the session (compile
+    again or call :meth:`refresh` to pick them up).
 
-    Parameters
-    ----------
-    model:
-        A (trained) :class:`DONN`, :class:`MultiChannelDONN` or
-        :class:`SegmentationDONN`.  The model is snapshotted in eval mode
-        at compile time; its train/eval mode is restored afterwards and
-        later parameter updates do **not** propagate into the session
-        (rebuild or call :meth:`refresh` to pick them up).
+    Options (the keyword arguments of :func:`~repro.engine.compile`)
+    ----------------------------------------------------------------
     batch_size:
         Default chunk size used by :meth:`run`/:meth:`predict` when
         streaming large inputs.
@@ -91,11 +82,13 @@ class InferenceSession:
     Raises
     ------
     ValueError
-        For ``batch_size < 1``, an unknown ``dtype``, an unknown
-        ``backend`` name, or an unknown ``optimize`` level.
+        From :func:`~repro.engine.compile`, for ``batch_size < 1``, an
+        unknown ``dtype``, an unknown ``backend`` name, or an unknown
+        ``optimize`` level.
     TypeError
-        When ``model`` is not one of the three compilable families, or a
-        configured nonlinearity does not expose ``apply_numpy``.
+        From :func:`~repro.engine.compile`, when the model is not one of
+        :data:`~repro.engine.plan.COMPILABLE_MODELS`, or a configured
+        nonlinearity does not expose ``apply_numpy``.
     RuntimeError
         From :meth:`predict` / :meth:`predict_mask` / :meth:`read_detector`
         when called on the wrong session kind.
@@ -110,34 +103,8 @@ class InferenceSession:
     *within* one call via ``workers``.
     """
 
-    def __init__(
-        self,
-        model,
-        batch_size: int = 64,
-        backend: str = "auto",
-        workers: Optional[int] = None,
-        dtype="complex128",
-        optimize: str = "full",
-    ):
-        warnings.warn(
-            "direct InferenceSession(model, ...) construction is deprecated; "
-            "use repro.engine.compile(model, ...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._init(
-            model,
-            batch_size=batch_size,
-            backend=backend,
-            workers=workers,
-            dtype=dtype,
-            optimize=optimize,
-            max_operator_bytes=None,
-        )
-
     # ------------------------------------------------------------------ #
-    # The compile pipeline (shared by compile(), the deprecated
-    # constructor, spec.build() and refresh())
+    # The compile pipeline (shared by compile(), spec.build() and refresh())
     # ------------------------------------------------------------------ #
     def _init(
         self,
@@ -170,12 +137,10 @@ class InferenceSession:
         passes, and swap the emitted program in.
         """
         model = self._model
-        if not hasattr(model, "training"):
-            lower(model, self.dtype)  # raises the canonical TypeError for non-compilable objects
+        raw_plan = lower(model, self.dtype)  # refuses anything outside COMPILABLE_MODELS
         was_training = model.training
         model.eval()
         try:
-            raw_plan = lower(model, self.dtype)
             # Captured *here*, not in to_spec(): the spec must rebuild
             # the parameters this program compiled, and the model may
             # train on after the snapshot (that is why refresh()
@@ -436,22 +401,3 @@ def compile(
         max_operator_bytes=max_operator_bytes,
     )
     return session
-
-
-def compile_model(
-    model,
-    batch_size: int = 64,
-    backend: str = "auto",
-    workers: Optional[int] = None,
-    dtype="complex128",
-    optimize: str = "full",
-) -> InferenceSession:
-    """Functional alias for :func:`compile` (kept for API compatibility)."""
-    return compile(
-        model,
-        batch_size=batch_size,
-        backend=backend,
-        workers=workers,
-        dtype=dtype,
-        optimize=optimize,
-    )

@@ -62,7 +62,7 @@ def _as_store_ref(obj):
 def _build_group(model_or_session, replicas: int, router, cluster_options: dict, name: str):
     """Spec out ``model_or_session`` and wrap it in an (unstarted) group."""
     from repro.cluster import ReplicaGroup
-    from repro.engine.spec import SessionSpec
+    from repro.engine import COMPILABLE_MODELS, SessionSpec
 
     session_kwargs = dict(cluster_options.pop("session_kwargs", {}))
     if _as_store_ref(model_or_session) is not None:
@@ -76,7 +76,7 @@ def _build_group(model_or_session, replicas: int, router, cluster_options: dict,
                 "reference; they were fixed when the spec was published"
             )
         spec = model_or_session
-    elif hasattr(model_or_session, "export_session"):
+    elif isinstance(model_or_session, COMPILABLE_MODELS):
         # A trainable model: snapshot it into a spec (replicas then
         # rebuild their sessions via repro.engine.compile(spec)).
         spec = SessionSpec.from_model(model_or_session, **session_kwargs)

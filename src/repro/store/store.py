@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple, Union
 
-from repro.engine.spec import SessionSpec
+from repro.engine import COMPILABLE_MODELS, SessionSpec
 from repro.store.backend import LocalDirBackend, StoreBackend
 from repro.store.errors import (
     ModelNotFoundError,
@@ -118,7 +118,7 @@ def _as_spec(model_or_spec, session_kwargs: dict) -> SessionSpec:
                 f"{type(model_or_spec).__name__} is already a compiled session"
             )
         return model_or_spec.to_spec()
-    if hasattr(model_or_spec, "export_session"):
+    if isinstance(model_or_spec, COMPILABLE_MODELS):
         return SessionSpec.from_model(model_or_spec, **session_kwargs)
     raise TypeError(
         f"cannot publish {type(model_or_spec).__name__}: expected a SessionSpec, "

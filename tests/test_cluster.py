@@ -28,7 +28,7 @@ from repro.cluster import (
     ShmReader,
     make_router,
 )
-from repro.engine import InferenceSession, SessionSpec
+from repro.engine import InferenceSession, SessionSpec, compile as engine_compile
 from repro.models.config import DONNConfig
 from repro.models.donn import DONN
 from repro.serve import DynamicBatcher, InferenceServer, ServerClosedError, SLOAwarePolicy
@@ -45,7 +45,7 @@ def _tiny_model() -> DONN:
 
 @pytest.fixture(scope="module")
 def tiny_session() -> InferenceSession:
-    return _tiny_model().export_session(batch_size=32, backend="numpy")
+    return engine_compile(_tiny_model(), batch_size=32, backend="numpy")
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +69,7 @@ def _wait_until(predicate, timeout_s: float = 30.0, what: str = "condition"):
 # SessionSpec
 # --------------------------------------------------------------------- #
 class TestSessionSpec:
-    def test_round_trip_matches_export_session_exactly(self, tiny_session, rng):
+    def test_round_trip_matches_compiled_session_exactly(self, tiny_session, rng):
         """spec.build() in-process reproduces the originating session."""
         spec = tiny_session.to_spec()
         rebuilt = spec.build()
@@ -96,7 +96,7 @@ class TestSessionSpec:
         whatever the live model trained to afterwards -- otherwise cluster
         replicas silently diverge from the in-process session."""
         model = _tiny_model()
-        session = model.export_session(backend="numpy")
+        session = engine_compile(model, backend="numpy")
         images = rng.uniform(size=(3, 16, 16))
         frozen = session.run(images)
         for parameter in model.parameters():
@@ -113,9 +113,6 @@ class TestSessionSpec:
 
     def test_unpicklable_model_is_refused(self):
         class Weird:
-            def export_session(self):  # pragma: no cover - never called
-                raise AssertionError
-
             def __reduce__(self):
                 raise TypeError("nope")
 
@@ -542,7 +539,7 @@ class TestServerIntegration:
         pids, images, results = asyncio.run(scenario())
         errors = [r for r in results if isinstance(r, BaseException)]
         assert not errors, f"close() must drain, not drop: {errors[:2]}"
-        reference = _tiny_model().export_session(backend="numpy").run(images)
+        reference = engine_compile(_tiny_model(), backend="numpy").run(images)
         np.testing.assert_allclose(np.stack(results), reference, atol=1e-10)
         for pid in pids:
             _wait_until(lambda: not _pid_alive(pid), timeout_s=10.0, what=f"worker {pid} exit")

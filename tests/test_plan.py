@@ -13,7 +13,9 @@ Also covered: the collapse guarantee (a nonlinearity-free classifier
 plan folds to a single precomputed input→detector operator, asserted via
 ``plan_summary()``), the local rewrites on a zero-phase cascade, the
 transpose rules behind the adjoint operator build, the operator budget
-gate, ``refresh()`` as a re-compile, and the deprecation shims.
+gate, ``refresh()`` as a re-compile, the removal of the pre-``compile()``
+entry points, and :data:`~repro.engine.COMPILABLE_MODELS` as the one
+definition of a compilable model.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro import DONN, DONNConfig, MultiChannelDONN, SegmentationDONN
 from repro.engine import COMPLEX64_LOGIT_ATOL, InferenceSession, compile as engine_compile
+from repro.serve import InferenceServer, SessionRegistry
+from repro.store import ModelStore
 from repro.engine.backends import get_fft_backend
 from repro.engine.plan import Encode, Intensity, count_ops, emit_ops, lower
 from repro.engine.passes import optimize_plan, transpose_linear_ops
@@ -310,7 +314,7 @@ class TestCollapsedSessionSurface:
 
 
 # --------------------------------------------------------------------- #
-# refresh() as re-compile, deprecation shims
+# refresh() as re-compile, removed entry points, the compilability rule
 # --------------------------------------------------------------------- #
 class TestRefreshRecompiles:
     def test_refresh_picks_up_retrained_weights(self, rng):
@@ -339,25 +343,39 @@ class TestRefreshRecompiles:
 
 
 class TestDeprecatedEntryPoints:
-    def test_direct_constructor_warns_and_matches_compile(self):
-        model = _model("donn", 12, 3, None)
-        with pytest.warns(DeprecationWarning, match="repro.engine.compile"):
-            legacy = InferenceSession(model)
-        images = _images("donn", 12, 2, 21)
-        np.testing.assert_allclose(
-            legacy.run(images), engine_compile(model).run(images), atol=PARITY_ATOL
-        )
+    """The entry points that predate ``compile()`` are gone, not shimmed."""
 
-    def test_export_session_warns_and_matches_compile(self):
-        for family in _FAMILIES:
-            model = _model(family, 12, 3, None)
-            with pytest.warns(DeprecationWarning, match="repro.engine.compile"):
-                legacy = model.export_session()
-            images = _images(family, 12, 2, 22)
-            np.testing.assert_allclose(
-                legacy.run(images), engine_compile(model).run(images), atol=PARITY_ATOL
-            )
+    def test_session_has_no_model_constructor(self):
+        with pytest.raises(TypeError):
+            InferenceSession(_model("donn", 12, 3, None))
 
     def test_compile_rejects_unsupported_models(self):
         with pytest.raises(TypeError, match="cannot compile"):
             engine_compile(object())
+
+
+class _DuckTypedModel:
+    """Has a model's ``training`` flag and an ``export_session`` hook, but
+    is not one of ``COMPILABLE_MODELS``.  Module-level so that it pickles:
+    a refusal must come from the type check, not from a pickling error."""
+
+    training = False
+
+    def export_session(self, **kwargs):  # pragma: no cover - must never be called
+        raise AssertionError("duck-typed export hook was honoured")
+
+
+_COMPILING_FRONTS = {
+    "compile": lambda model, tmp_path: engine_compile(model),
+    "registry": lambda model, tmp_path: SessionRegistry().register("m", model),
+    "store": lambda model, tmp_path: ModelStore(tmp_path).publish("m", model),
+    "server": lambda model, tmp_path: InferenceServer().add_model("m", model, replicas=2),
+}
+
+
+@pytest.mark.parametrize("front", sorted(_COMPILING_FRONTS))
+def test_non_compilable_model_is_refused(front, tmp_path):
+    """Every front that turns a model into a session (or spec) honours the
+    one ``COMPILABLE_MODELS`` rule instead of duck typing."""
+    with pytest.raises(TypeError, match="_DuckTypedModel"):
+        _COMPILING_FRONTS[front](_DuckTypedModel(), tmp_path)
