@@ -25,7 +25,7 @@ def relu(x: Tensor) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(grad * mask)
+            x._accumulate(grad * mask, fresh=True)
 
     return Tensor._make(data, (x,), backward)
 
@@ -36,7 +36,7 @@ def sigmoid(x: Tensor) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(grad * data * (1.0 - data))
+            x._accumulate(grad * data * (1.0 - data), fresh=True)
 
     return Tensor._make(data, (x,), backward)
 
@@ -51,7 +51,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
             dot = (grad * data).sum(axis=axis, keepdims=True)
-            x._accumulate(data * (grad - dot))
+            x._accumulate(data * (grad - dot), fresh=True)
 
     return Tensor._make(data, (x,), backward)
 
@@ -65,7 +65,7 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
             soft = np.exp(data)
-            x._accumulate(grad - soft * grad.sum(axis=axis, keepdims=True))
+            x._accumulate(grad - soft * grad.sum(axis=axis, keepdims=True), fresh=True)
 
     return Tensor._make(data, (x,), backward)
 
@@ -184,7 +184,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None, stride: int
                 )
         if padding:
             padded = padded[:, :, padding:-padding, padding:-padding]
-        x._accumulate(padded)
+        x._accumulate(padded, fresh=True)
 
     columns = Tensor._make(columns_np, (x,), col_backward)
     flat_weight = weight.reshape(out_channels, in_channels * kernel * kernel)
@@ -219,7 +219,7 @@ def max_pool2d(x: Tensor, kernel: int, stride: Optional[int] = None) -> Tensor:
                 patch = view[:, :, :, :, i, j]
                 mask = patch == data
                 full[:, :, i : i + out_h * stride : stride, j : j + out_w * stride : stride] += mask * grad
-        x._accumulate(full)
+        x._accumulate(full, fresh=True)
 
     return Tensor._make(data, (x,), backward)
 

@@ -2,8 +2,11 @@
 
 The heavy lifting of DONN emulation is three operators (Section 5.3 of the
 paper): complex 2-D FFT, inverse 2-D FFT, and complex element-wise /
-matrix multiplication.  The FFTs live here; multiplication is on
-:class:`~repro.autograd.tensor.Tensor` directly.
+matrix multiplication.  The FFTs live here, on the FFT dispatch of
+:mod:`repro.fft` that the inference engine also runs on, together with
+:func:`propagate`, which fuses all three for free-space propagation;
+other multiplications are on :class:`~repro.autograd.tensor.Tensor`
+directly.
 """
 
 from __future__ import annotations
@@ -13,41 +16,68 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.autograd.tensor import Tensor
+from repro.fft import get_fft_backend
 
 
-def _axes_size(shape: Tuple[int, ...], axes: Tuple[int, int]) -> int:
-    return int(np.prod([shape[a] for a in axes]))
+def fft2(x: Tensor) -> Tensor:
+    """Differentiable 2-D FFT over the trailing two axes.
 
-
-def fft2(x: Tensor, axes: Tuple[int, int] = (-2, -1)) -> Tensor:
-    """Differentiable 2-D FFT (numpy "backward" normalisation).
-
-    The adjoint of the unnormalised DFT matrix ``F`` is ``N * ifft``, so the
-    backward pass multiplies the inverse transform of the upstream gradient
-    by the transform size.
+    Uses numpy's "backward" normalisation (unscaled forward transform).
+    The adjoint of the unscaled DFT matrix ``F`` is ``N * ifft``, the
+    inverse transform with ``norm="forward"``, so the backward pass is one
+    transform.
     """
     x = Tensor._coerce(x)
-    data = np.fft.fft2(x.data, axes=axes)
-    n = _axes_size(x.shape, tuple(a % x.ndim for a in axes))
+    fft = get_fft_backend()
+    data = fft.fft2(x.data)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(np.fft.ifft2(grad, axes=axes) * n)
+            x._accumulate(fft.ifft2(grad, norm="forward"), fresh=True)
 
     return Tensor._make(data, (x,), backward)
 
 
-def ifft2(x: Tensor, axes: Tuple[int, int] = (-2, -1)) -> Tensor:
-    """Differentiable inverse 2-D FFT (numpy "backward" normalisation)."""
+def ifft2(x: Tensor) -> Tensor:
+    """Differentiable inverse 2-D FFT over the trailing two axes.
+
+    Uses numpy's "backward" normalisation (``1/N`` on the inverse); its
+    adjoint ``F / N`` is the forward transform with ``norm="forward"``.
+    """
     x = Tensor._coerce(x)
-    data = np.fft.ifft2(x.data, axes=axes)
-    n = _axes_size(x.shape, tuple(a % x.ndim for a in axes))
+    fft = get_fft_backend()
+    data = fft.ifft2(x.data)
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(np.fft.fft2(grad, axes=axes) / n)
+            x._accumulate(fft.fft2(grad, norm="forward"), fresh=True)
 
     return Tensor._make(data, (x,), backward)
+
+
+def propagate(field: Tensor, transfer: np.ndarray) -> Tensor:
+    """Differentiable free-space propagation ``ifft2(fft2(field) * transfer)``.
+
+    The three kernels of a diffraction hop as one tape op over the trailing
+    two axes: the forward FFT allocates one buffer, and the multiply by the
+    constant ``transfer`` and the inverse FFT run in place on it.  Only the
+    output is recorded, not the spectrum or the product.  The operator is
+    linear, so the backward pass applies its adjoint
+    ``ifft2(fft2(grad) * conj(transfer))`` the same way.
+    """
+    field = Tensor._coerce(field)
+    fft = get_fft_backend()
+    spectrum = fft.fft2(field.data)
+    spectrum *= transfer
+    data = fft.ifft2(spectrum, overwrite_x=True)
+
+    def backward(grad: np.ndarray) -> None:
+        if field.requires_grad:
+            adjoint = fft.fft2(grad)
+            adjoint *= np.conj(transfer)
+            field._accumulate(fft.ifft2(adjoint, overwrite_x=True), fresh=True)
+
+    return Tensor._make(data, (field,), backward)
 
 
 def fftshift(x: Tensor, axes: Tuple[int, int] = (-2, -1)) -> Tensor:
@@ -57,7 +87,7 @@ def fftshift(x: Tensor, axes: Tuple[int, int] = (-2, -1)) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(np.fft.ifftshift(grad, axes=axes))
+            x._accumulate(np.fft.ifftshift(grad, axes=axes), fresh=True)
 
     return Tensor._make(data, (x,), backward)
 
@@ -69,7 +99,7 @@ def ifftshift(x: Tensor, axes: Tuple[int, int] = (-2, -1)) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(np.fft.fftshift(grad, axes=axes))
+            x._accumulate(np.fft.fftshift(grad, axes=axes), fresh=True)
 
     return Tensor._make(data, (x,), backward)
 
@@ -101,7 +131,7 @@ def crop2d(x: Tensor, crop: int) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if x.requires_grad:
-            x._accumulate(np.pad(grad, widths, mode="constant"))
+            x._accumulate(np.pad(grad, widths, mode="constant"), fresh=True)
 
     return Tensor._make(data, (x,), backward)
 
@@ -146,9 +176,9 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
 
     def backward(grad: np.ndarray) -> None:
         if a.requires_grad:
-            a._accumulate(np.where(condition, grad, 0))
+            a._accumulate(np.where(condition, grad, 0), fresh=True)
         if b.requires_grad:
-            b._accumulate(np.where(condition, 0, grad))
+            b._accumulate(np.where(condition, 0, grad), fresh=True)
 
     return Tensor._make(data, (a, b), backward)
 
@@ -171,7 +201,7 @@ def roll(x: Tensor, shift, axis) -> Tensor:
                 inverse = tuple(-s for s in shift)
             else:
                 inverse = -shift
-            x._accumulate(np.roll(grad, inverse, axis=axis))
+            x._accumulate(np.roll(grad, inverse, axis=axis), fresh=True)
 
     return Tensor._make(data, (x,), backward)
 
@@ -191,7 +221,7 @@ def exp_i(phase: Tensor) -> Tensor:
             # d/dphi exp(j phi) = j exp(j phi); for a real input the exact
             # derivative is Re(conj(grad) * j * exp(j phi)) under the
             # stored-gradient convention (see package docstring).
-            phase._accumulate((np.conj(grad) * 1j * data).real)
+            phase._accumulate((np.conj(grad) * 1j * data).real, fresh=True)
 
     return Tensor._make(data, (phase,), backward)
 

@@ -141,14 +141,24 @@ class Tensor:
     # ------------------------------------------------------------------ #
     # Autograd machinery
     # ------------------------------------------------------------------ #
-    def _accumulate(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into ``self.grad``, handling dtype/broadcast mismatch."""
+    def _accumulate(self, grad: np.ndarray, fresh: bool = False) -> None:
+        """Add ``grad`` into ``self.grad``, handling dtype/broadcast mismatch.
+
+        The first gradient is stored as a copy, so a gradient a backward
+        closure passes straight through (as ``__add__`` does to both of its
+        inputs) never ends up shared between two tensors.  A closure that
+        allocated ``grad`` itself and keeps no reference to it passes
+        ``fresh=True`` to hand the array over without that copy.
+        """
         grad = _unbroadcast(np.asarray(grad), self.data.shape)
         if not np.iscomplexobj(self.data) and np.iscomplexobj(grad):
             grad = grad.real
         if self.grad is None:
-            self.grad = np.array(grad, dtype=complex if np.iscomplexobj(self.data) else float)
-            self.grad = np.broadcast_to(self.grad, self.data.shape).copy()
+            dtype = np.dtype(complex if np.iscomplexobj(self.data) else float)
+            if fresh and grad.dtype == dtype and grad.shape == self.data.shape:
+                self.grad = grad
+            else:
+                self.grad = np.array(np.broadcast_to(grad, self.data.shape), dtype=dtype)
         else:
             self.grad = self.grad + grad
 
@@ -230,7 +240,7 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(-grad)
+                self._accumulate(-grad, fresh=True)
 
         return self._make(-self.data, (self,), backward)
 
@@ -242,7 +252,7 @@ class Tensor:
             if self.requires_grad:
                 self._accumulate(grad)
             if other.requires_grad:
-                other._accumulate(-grad)
+                other._accumulate(-grad, fresh=True)
 
         return self._make(data, (self, other), backward)
 
@@ -255,9 +265,9 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * np.conj(other.data))
+                self._accumulate(grad * np.conj(other.data), fresh=True)
             if other.requires_grad:
-                other._accumulate(grad * np.conj(self.data))
+                other._accumulate(grad * np.conj(self.data), fresh=True)
 
         return self._make(data, (self, other), backward)
 
@@ -269,9 +279,9 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * np.conj(1.0 / other.data))
+                self._accumulate(grad * np.conj(1.0 / other.data), fresh=True)
             if other.requires_grad:
-                other._accumulate(grad * np.conj(-self.data / other.data**2))
+                other._accumulate(grad * np.conj(-self.data / other.data**2), fresh=True)
 
         return self._make(data, (self, other), backward)
 
@@ -287,7 +297,7 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 local = exponent * self.data ** (exponent - 1)
-                self._accumulate(grad * np.conj(local))
+                self._accumulate(grad * np.conj(local), fresh=True)
 
         return self._make(data, (self,), backward)
 
@@ -298,10 +308,10 @@ class Tensor:
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
                 g = grad @ np.conj(np.swapaxes(other.data, -1, -2))
-                self._accumulate(_unbroadcast(g, self.data.shape))
+                self._accumulate(_unbroadcast(g, self.data.shape), fresh=True)
             if other.requires_grad:
                 g = np.conj(np.swapaxes(self.data, -1, -2)) @ grad
-                other._accumulate(_unbroadcast(g, other.data.shape))
+                other._accumulate(_unbroadcast(g, other.data.shape), fresh=True)
 
         return self._make(data, (self, other), backward)
 
@@ -364,7 +374,7 @@ class Tensor:
             if self.requires_grad:
                 full = np.zeros_like(self.data)
                 np.add.at(full, index, grad)
-                self._accumulate(full)
+                self._accumulate(full, fresh=True)
 
         return self._make(data, (self,), backward)
 
@@ -408,7 +418,7 @@ class Tensor:
                 axes = axis if isinstance(axis, tuple) else (axis,)
                 for ax in sorted(a % self.ndim for a in axes):
                     g = np.expand_dims(g, ax)
-            self._accumulate(mask * g)
+            self._accumulate(mask * g, fresh=True)
 
         return self._make(data, (self,), backward)
 
@@ -420,7 +430,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * np.conj(data))
+                self._accumulate(grad * np.conj(data), fresh=True)
 
         return self._make(data, (self,), backward)
 
@@ -429,7 +439,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * np.conj(1.0 / self.data))
+                self._accumulate(grad * np.conj(1.0 / self.data), fresh=True)
 
         return self._make(data, (self,), backward)
 
@@ -441,7 +451,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * np.conj(np.cos(self.data)))
+                self._accumulate(grad * np.conj(np.cos(self.data)), fresh=True)
 
         return self._make(data, (self,), backward)
 
@@ -450,7 +460,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * np.conj(-np.sin(self.data)))
+                self._accumulate(grad * np.conj(-np.sin(self.data)), fresh=True)
 
         return self._make(data, (self,), backward)
 
@@ -459,7 +469,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(grad * np.conj(1.0 - data**2))
+                self._accumulate(grad * np.conj(1.0 - data**2), fresh=True)
 
         return self._make(data, (self,), backward)
 
@@ -468,7 +478,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(np.conj(grad))
+                self._accumulate(np.conj(grad), fresh=True)
 
         return self._make(data, (self,), backward)
 
@@ -477,8 +487,12 @@ class Tensor:
         data = self.data.real.copy()
 
         def backward(grad: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(np.asarray(grad).real.astype(complex) if self.is_complex else grad)
+            if not self.requires_grad:
+                return
+            if self.is_complex:
+                self._accumulate(np.asarray(grad).real.astype(complex), fresh=True)
+            else:
+                self._accumulate(grad)
 
         return self._make(data, (self,), backward)
 
@@ -487,7 +501,7 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(1j * np.asarray(grad).real)
+                self._accumulate(1j * np.asarray(grad).real, fresh=True)
 
         return self._make(data, (self,), backward)
 
@@ -499,9 +513,9 @@ class Tensor:
                 return
             safe = np.where(data == 0, 1.0, data)
             if self.is_complex:
-                self._accumulate(np.asarray(grad).real * self.data / safe)
+                self._accumulate(np.asarray(grad).real * self.data / safe, fresh=True)
             else:
-                self._accumulate(grad * np.sign(self.data))
+                self._accumulate(grad * np.sign(self.data), fresh=True)
 
         return self._make(data, (self,), backward)
 
@@ -513,9 +527,9 @@ class Tensor:
             if not self.requires_grad:
                 return
             if self.is_complex:
-                self._accumulate(2.0 * np.asarray(grad).real * self.data)
+                self._accumulate(2.0 * np.asarray(grad).real * self.data, fresh=True)
             else:
-                self._accumulate(2.0 * grad * self.data)
+                self._accumulate(2.0 * grad * self.data, fresh=True)
 
         return self._make(data, (self,), backward)
 
@@ -526,7 +540,7 @@ class Tensor:
             if not self.requires_grad:
                 return
             safe = np.where(self.data == 0, 1.0, self.data)
-            self._accumulate(np.asarray(grad).real * 1j / np.conj(safe))
+            self._accumulate(np.asarray(grad).real * 1j / np.conj(safe), fresh=True)
 
         return self._make(data, (self,), backward)
 
@@ -552,7 +566,7 @@ class Tensor:
                     mask = mask * (self.data >= minimum)
                 if maximum is not None:
                     mask = mask * (self.data <= maximum)
-                self._accumulate(grad * mask)
+                self._accumulate(grad * mask, fresh=True)
 
         return self._make(data, (self,), backward)
 

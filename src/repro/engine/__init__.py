@@ -13,7 +13,8 @@ Public surface:
   public constructor: :func:`compile` is the only way to build one.
 * :func:`get_fft_backend` / :func:`available_backends` -- the FFT
   dispatch layer (scipy with thread workers when installed, numpy
-  fallback otherwise).
+  fallback otherwise), re-exported from :mod:`repro.fft`, which training
+  shares.
 * :class:`SessionSpec` -- picklable recipe (``session.to_spec()`` /
   ``spec.build()``) that lets ``repro.cluster`` rebuild the session in a
   spawned worker process.
@@ -22,7 +23,7 @@ Public surface:
   (``optimize_plan``), for tooling such as ``tools/dump_plan.py``.
 """
 
-from repro.engine.backends import (
+from repro.fft import (
     NumpyFFTBackend,
     ScipyFFTBackend,
     available_backends,

@@ -1,6 +1,9 @@
-"""FFT backend dispatch for the inference engine.
+"""FFT backend dispatch shared by autograd and the inference engine.
 
-The engine's hot loop is batched 2-D FFTs over the trailing axes.  Two
+Every 2-D transform in the package -- the differentiable kernels of
+:mod:`repro.autograd.ops` used for training, and the emitted programs of
+:mod:`repro.engine` used for emulation and serving -- goes through the
+batched transforms over the trailing two axes defined here.  Two
 backends are supported:
 
 * **scipy** -- ``scipy.fft`` (pocketfft with a C++ kernel set that is
@@ -8,16 +11,22 @@ backends are supported:
   parallelises over the batch axis).  Selected automatically when scipy is
   importable.
 * **numpy** -- ``np.fft``, always available; the fallback when scipy is
-  absent so the engine has no hard dependency beyond numpy.
+  absent so neither training nor the engine has a hard dependency beyond
+  numpy.
 
-Both backends use numpy's "backward" normalisation so engine outputs match
-the autograd kernels (:func:`repro.autograd.ops.fft2`) bit-for-bit in
-practice and to ``1e-10`` by contract.
+Both backends take numpy's ``norm`` argument ("backward" by default, the
+unnormalised forward transform) so the engine's outputs match the
+autograd kernels to ``1e-10`` by contract.  ``overwrite_x=True`` lets the
+scipy backend write the result into its input's buffer when the caller
+owns that buffer; numpy always allocates.
 
 Both backends also preserve ``complex64`` inputs for the engine's
 reduced-precision mode: ``scipy.fft`` computes single-precision
 transforms natively, while ``np.fft`` always promotes to ``complex128``,
 so the numpy backend casts its results back to the input dtype.
+
+This module imports only numpy, so :mod:`repro.autograd` can depend on it
+without an import cycle.
 """
 
 from __future__ import annotations
@@ -55,18 +64,18 @@ class NumpyFFTBackend:
         # interface compatibility and ignored.
         self.workers = workers
 
-    def fft2(self, field: np.ndarray) -> np.ndarray:
-        return _match_input_precision(np.fft.fft2(field, axes=_AXES), field)
+    def fft2(self, field: np.ndarray, norm: str = "backward", overwrite_x: bool = False) -> np.ndarray:
+        return _match_input_precision(np.fft.fft2(field, axes=_AXES, norm=norm), field)
 
-    def ifft2(self, spectrum: np.ndarray) -> np.ndarray:
-        return _match_input_precision(np.fft.ifft2(spectrum, axes=_AXES), spectrum)
+    def ifft2(self, spectrum: np.ndarray, norm: str = "backward", overwrite_x: bool = False) -> np.ndarray:
+        return _match_input_precision(np.fft.ifft2(spectrum, axes=_AXES, norm=norm), spectrum)
 
 
 class ScipyFFTBackend:
     """``scipy.fft`` transforms with optional multi-threaded batching.
 
-    ``overwrite_x=True`` is safe here because the engine only ever hands
-    these methods freshly allocated intermediates.
+    With ``overwrite_x=True`` a C-contiguous complex input is transformed
+    in place and returned; pass it only for buffers the caller owns.
     """
 
     name = "scipy"
@@ -75,11 +84,11 @@ class ScipyFFTBackend:
         self._fft = module
         self.workers = int(workers) if workers else None
 
-    def fft2(self, field: np.ndarray) -> np.ndarray:
-        return self._fft.fft2(field, axes=_AXES, workers=self.workers, overwrite_x=True)
+    def fft2(self, field: np.ndarray, norm: str = "backward", overwrite_x: bool = False) -> np.ndarray:
+        return self._fft.fft2(field, axes=_AXES, norm=norm, workers=self.workers, overwrite_x=overwrite_x)
 
-    def ifft2(self, spectrum: np.ndarray) -> np.ndarray:
-        return self._fft.ifft2(spectrum, axes=_AXES, workers=self.workers, overwrite_x=True)
+    def ifft2(self, spectrum: np.ndarray, norm: str = "backward", overwrite_x: bool = False) -> np.ndarray:
+        return self._fft.ifft2(spectrum, axes=_AXES, norm=norm, workers=self.workers, overwrite_x=overwrite_x)
 
 
 def available_backends() -> tuple:

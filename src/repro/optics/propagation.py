@@ -18,8 +18,11 @@ three approximations offered by the paper are implemented:
 A :class:`DirectIntegrationPropagator` evaluates Eq. 5 by explicit
 convolution with the sampled impulse response; it is slower but serves as
 an independent reference for validating the transfer-function kernels.
-All propagators are differentiable because they are built from
-:func:`repro.autograd.ops.fft2` / ``ifft2`` and element-wise products.
+All propagators are differentiable.  The transfer-function kernels run
+each hop as one fused autograd op, :func:`repro.autograd.ops.propagate`
+(FFT2, multiply by ``H``, iFFT2 on one buffer); Fraunhofer is built from
+:func:`repro.autograd.ops.fft2` and element-wise products.  Both use the
+FFT dispatch of :mod:`repro.fft`, shared with the inference engine.
 """
 
 from __future__ import annotations
@@ -72,9 +75,6 @@ class Propagator:
         self.pad_factor = int(pad_factor)
         self._work_grid = grid if pad_factor == 1 else grid.padded(pad_factor)
         self.transfer_function = self._build_transfer_function(self._work_grid)
-        # Wrap once: re-wrapping the (constant) transfer function into a new
-        # Tensor on every call added per-batch overhead in the training loop.
-        self._transfer_tensor = Tensor(self.transfer_function)
 
     # -- to be provided by subclasses ------------------------------------- #
     def _build_transfer_function(self, grid: SpatialGrid) -> np.ndarray:
@@ -91,14 +91,12 @@ class Propagator:
     def __getstate__(self):
         state = self.__dict__.copy()
         state.pop("transfer_function", None)
-        state.pop("_transfer_tensor", None)
         state.pop("_cached_prefactor", None)
         return state
 
     def __setstate__(self, state):
         self.__dict__.update(state)
         self.transfer_function = self._build_transfer_function(self._work_grid)
-        self._transfer_tensor = Tensor(self.transfer_function)
 
     # -- public API -------------------------------------------------------- #
     @property
@@ -113,9 +111,7 @@ class Propagator:
         pad = (self._work_grid.size - self.grid.size) // 2
         if pad:
             field = ops.pad2d(field, pad)
-        spectrum = ops.fft2(field)
-        propagated = spectrum * self._transfer_tensor
-        out = ops.ifft2(propagated)
+        out = ops.propagate(field, self.transfer_function)
         if pad:
             out = ops.crop2d(out, pad)
         return out

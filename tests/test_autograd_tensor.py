@@ -125,6 +125,25 @@ class TestAutogradBasics:
         (a * b).sum().backward()
         assert a.grad == pytest.approx(4.0)
 
+    def test_add_siblings_never_share_a_grad_buffer(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor(np.ones((2, 3)), requires_grad=True)
+        (a + b).sum().backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad += 1.0
+        np.testing.assert_allclose(b.grad, 1.0)
+
+    def test_pass_through_grad_is_not_shared_with_the_output(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor(np.ones((2, 3)), requires_grad=True)
+        total = a + b
+        reshaped = total.reshape(6)
+        reshaped.backward(np.arange(6.0))
+        for grad in (a.grad, b.grad):
+            assert not np.shares_memory(grad, reshaped.grad)
+            assert not np.shares_memory(grad, total.grad)
+        assert not np.shares_memory(a.grad, b.grad)
+
     def test_grad_accumulates_across_uses(self):
         a = Tensor([1.0], requires_grad=True)
         out = a * 2 + a * 3

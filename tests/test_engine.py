@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import DONN, MultiChannelDONN, SegmentationDONN
+from repro import fft as fft_dispatch
 from repro.autograd import Module, no_grad
 from repro.codesign import slm_profile
 from repro.engine import (
@@ -14,7 +15,6 @@ from repro.engine import (
     compile as engine_compile,
     get_fft_backend,
 )
-from repro.engine import backends as engine_backends
 from repro.train import evaluate_classifier
 from repro.train.loop import evaluate_with_detector_noise
 
@@ -277,7 +277,7 @@ class TestStreaming:
 class TestBackends:
     def test_numpy_fallback_when_scipy_missing(self, monkeypatch, small_config, images):
         """With scipy unavailable, auto selection degrades to numpy."""
-        monkeypatch.setattr(engine_backends, "_import_scipy_fft", lambda: None)
+        monkeypatch.setattr(fft_dispatch, "_import_scipy_fft", lambda: None)
         assert available_backends() == ("numpy",)
         backend = get_fft_backend("auto")
         assert backend.name == "numpy"
@@ -287,7 +287,7 @@ class TestBackends:
         np.testing.assert_allclose(session.run(images), graph_eval(model, images), atol=PARITY_ATOL)
 
     def test_scipy_request_without_scipy_raises(self, monkeypatch):
-        monkeypatch.setattr(engine_backends, "_import_scipy_fft", lambda: None)
+        monkeypatch.setattr(fft_dispatch, "_import_scipy_fft", lambda: None)
         with pytest.raises(RuntimeError):
             get_fft_backend("scipy")
 

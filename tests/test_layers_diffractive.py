@@ -1,5 +1,8 @@
 """Tests for diffractive layers (raw and codesign) and the skip/norm helpers."""
 
+import io
+import pickle
+
 import numpy as np
 import pytest
 
@@ -74,6 +77,25 @@ class TestDiffractiveLayer:
         field = Tensor(rng.normal(size=grid.shape).astype(complex))
         weights = rng.normal(size=grid.shape)
         assert check_gradients(lambda p: (layer(field).abs2() * weights).sum(), [layer.phase], atol=1e-6)
+
+    @pytest.mark.parametrize("pad_factor", [1, 2])
+    def test_pickle_carries_no_complex_array(self, layer_grid, input_field, pad_factor):
+        """The propagator's transfer function is rebuilt on load, not shipped."""
+        layer = DiffractiveLayer(layer_grid, WAVELENGTH, 0.05, pad_factor=pad_factor)
+        pickled_dtypes = []
+
+        class RecordingPickler(pickle.Pickler):
+            def reducer_override(self, obj):
+                if isinstance(obj, np.ndarray):
+                    pickled_dtypes.append(obj.dtype)
+                return NotImplemented
+
+        buffer = io.BytesIO()
+        RecordingPickler(buffer, protocol=pickle.HIGHEST_PROTOCOL).dump(layer)
+        assert np.dtype(float) in pickled_dtypes  # the phase parameter is shipped
+        assert not any(np.issubdtype(dtype, np.complexfloating) for dtype in pickled_dtypes)
+        restored = pickle.loads(buffer.getvalue())
+        np.testing.assert_array_equal(restored(input_field).data, layer(input_field).data)
 
     def test_approx_selection_changes_result(self, layer_grid, input_field):
         rs = DiffractiveLayer(layer_grid, WAVELENGTH, 0.05, approx="rayleigh_sommerfeld", phase_init=np.zeros(layer_grid.shape))

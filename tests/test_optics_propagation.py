@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.autograd import Tensor, check_gradients
+from repro import DONN
+from repro import fft as fft_dispatch
+from repro.autograd import Adam, Tensor, check_gradients, functional, ops
 from repro.optics import (
     DirectIntegrationPropagator,
     FraunhoferPropagator,
@@ -194,3 +196,64 @@ class TestFraunhofer:
         propagator = FraunhoferPropagator(optical_grid, WAVELENGTH, 1.0)
         with pytest.raises(ValueError):
             propagator(Tensor(np.zeros((8, 8), dtype=complex)))
+
+
+class TestFusedPropagate:
+    """``ops.propagate``: the one autograd op behind every transfer-function hop."""
+
+    @pytest.mark.parametrize("pad_factor", [1, 2])
+    @pytest.mark.parametrize("approx", ["rayleigh_sommerfeld", "fresnel", "direct"])
+    def test_gradcheck(self, approx, pad_factor):
+        grid = SpatialGrid(size=6, pixel_size=10e-6)
+        propagator = make_propagator(approx, grid, WAVELENGTH, 0.001, pad_factor=pad_factor)
+        rng = np.random.default_rng(0)
+        field = Tensor(rng.normal(size=(2, 6, 6)) + 1j * rng.normal(size=(2, 6, 6)), requires_grad=True)
+        weights = rng.normal(size=(2, 6, 6))
+        assert check_gradients(lambda f: (propagator(f).abs2() * weights).sum(), [field], atol=1e-6)
+
+    @staticmethod
+    def _donn_step(config, images, labels, optimizer_step=False):
+        model = DONN(config)
+        optimizer = Adam(model.parameters(), lr=0.1)
+        logits = model(images)
+        loss = functional.softmax_mse_loss(logits, Tensor(functional.one_hot(labels, config.num_classes)))
+        loss.backward()
+        grads = [p.grad.copy() for p in model.parameters()]
+        if optimizer_step:
+            optimizer.step()
+        return float(loss.data), grads, [p.data.copy() for p in model.parameters()]
+
+    def test_two_layer_donn_gradients_match_composed_path(self, monkeypatch, small_config):
+        images = np.random.default_rng(2).uniform(size=(3, 32, 32))
+        labels = np.array([1, 4, 7])
+        fused_loss, fused_grads, _ = self._donn_step(small_config, images, labels)
+        monkeypatch.setattr(
+            ops, "propagate", lambda field, transfer: ops.ifft2(ops.fft2(field) * Tensor(transfer))
+        )
+        composed_loss, composed_grads, _ = self._donn_step(small_config, images, labels)
+        assert fused_loss == pytest.approx(composed_loss, abs=1e-12)
+        assert len(fused_grads) == small_config.num_layers
+        for fused, composed in zip(fused_grads, composed_grads):
+            assert np.abs(composed).max() > 0
+            np.testing.assert_allclose(fused, composed, rtol=0, atol=1e-12)
+
+    def test_numpy_fallback_training_step_matches_scipy(self, monkeypatch, small_config):
+        if "scipy" not in fft_dispatch.available_backends():
+            pytest.skip("scipy not installed")
+        images = np.random.default_rng(3).uniform(size=(4, 32, 32))
+        labels = np.array([0, 2, 5, 9])
+        scipy_loss, scipy_grads, scipy_params = self._donn_step(small_config, images, labels, optimizer_step=True)
+        monkeypatch.setattr(fft_dispatch, "_import_scipy_fft", lambda: None)
+        numpy_calls = []
+        numpy_fft2 = fft_dispatch.NumpyFFTBackend.fft2
+
+        def counting_fft2(self, *args, **kwargs):
+            numpy_calls.append(1)
+            return numpy_fft2(self, *args, **kwargs)
+
+        monkeypatch.setattr(fft_dispatch.NumpyFFTBackend, "fft2", counting_fft2)
+        numpy_loss, numpy_grads, numpy_params = self._donn_step(small_config, images, labels, optimizer_step=True)
+        assert numpy_calls  # the step really ran on the fallback
+        assert numpy_loss == pytest.approx(scipy_loss, abs=1e-10)
+        for expected, actual in zip(scipy_grads + scipy_params, numpy_grads + numpy_params):
+            np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-10)

@@ -31,7 +31,7 @@ from repro import DONN, DONNConfig, MultiChannelDONN, SegmentationDONN
 from repro.engine import COMPLEX64_LOGIT_ATOL, InferenceSession, compile as engine_compile
 from repro.serve import InferenceServer, SessionRegistry
 from repro.store import ModelStore
-from repro.engine.backends import get_fft_backend
+from repro.fft import get_fft_backend
 from repro.engine.plan import Encode, Intensity, count_ops, emit_ops, lower
 from repro.engine.passes import optimize_plan, transpose_linear_ops
 
