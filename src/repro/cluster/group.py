@@ -692,13 +692,13 @@ class ReplicaGroup:
                 if not view.alive and view.index not in tried:
                     self._schedule_restart(view.index)
             try:
-                detail: Optional[dict] = {} if obs is not None else None
-                result, _ = replica.call(batch, ctx=wire_ctx, detail=detail)
+                result, compute_s, worker = replica.call(batch, ctx=wire_ctx)
                 if obs is not None:
                     obs["replica"] = index
                     obs["transport"] = replica.transport.describe()
                     obs["retries"] = len(tried)
-                    obs.update(detail or {})
+                    obs["compute_s"] = compute_s
+                    obs["worker"] = worker
                 return result
             except (ReplicaCrashError, ReplicaTimeoutError) as exc:
                 last = exc
@@ -739,7 +739,7 @@ class ReplicaGroup:
             replica = self._by_index[min(idle, key=lambda v: (v.ewma_latency_ms, v.index)).index]
             replica.in_flight += 1
         try:
-            result, _ = replica.call(payload[None])
+            result, _, _ = replica.call(payload[None])
             return result[0]
         finally:
             with self._lock:

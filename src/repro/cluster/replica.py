@@ -190,18 +190,15 @@ class Replica:
         timeout_s: Optional[float] = None,
         *,
         ctx: Optional[dict] = None,
-        detail: Optional[dict] = None,
-    ) -> "tuple[np.ndarray, float]":
-        """Run one fused batch on the worker; returns ``(result, compute_s)``.
+    ) -> "tuple[np.ndarray, float, Optional[dict]]":
+        """Run one fused batch on the worker; returns ``(result, compute_s, obs)``.
 
         Blocking; safe to invoke from any thread (internally serialized).
 
-        ``ctx`` is an optional trace context rider on the ``run`` frame
-        (``{"trace_ids": [...]}`` -- see :mod:`repro.obs`); a worker that
-        receives one answers with its observability payload, which lands
-        in ``detail`` (an out-parameter dict, filled with ``worker`` and
-        ``compute_s``) so the return shape stays ``(result, compute_s)``
-        for every existing caller.
+        ``ctx`` is the trace context of a traced batch
+        (``{"trace_ids": [...]}`` -- see :mod:`repro.obs`); the worker
+        then answers with its observability payload ``obs`` (pid, compute
+        duration), which is ``None`` for an untraced call.
 
         Raises :class:`ReplicaCrashError` when the worker dies or the
         transport breaks mid-call, :class:`ReplicaTimeoutError` when no
@@ -217,8 +214,7 @@ class Replica:
             self._seq += 1
             seq = self._seq
             try:
-                message = ("run", batch, seq) if ctx is None else ("run", batch, seq, ctx)
-                self.transport.send(message)
+                self.transport.send(("run", batch, seq, ctx))
                 answer = self._recv_locked(deadline)
             except (BrokenPipeError, EOFError, OSError) as exc:
                 self._mark_failed_locked(f"transport broke mid-call: {exc}")
@@ -231,11 +227,7 @@ class Replica:
             if kind != "ok" or answer[1] != seq:  # pragma: no cover - protocol guard
                 self._mark_failed_locked(f"protocol desync (got {kind!r})")
                 raise ReplicaCrashError(f"replica {self.index} answered out of order")
-            result, compute_s = answer[2], answer[3]
-            if detail is not None:
-                detail["compute_s"] = compute_s
-                if len(answer) > 4:
-                    detail["worker"] = answer[4]
+            _, _, result, compute_s, obs = answer
             wall_s = time.perf_counter() - started
             self.dispatched += 1
             alpha = self._ewma_alpha
@@ -244,7 +236,7 @@ class Replica:
             else:
                 self.ewma_latency_s += alpha * (wall_s - self.ewma_latency_s)
                 self.ewma_compute_s += alpha * (compute_s - self.ewma_compute_s)
-            return result, compute_s
+            return result, compute_s, obs
 
     def _recv_locked(self, deadline: float):
         while not self.transport.poll(_POLL_S):

@@ -7,27 +7,36 @@ implementation of a small :class:`Transport` interface, so the *same*
 message schema can also travel over a TCP socket to a worker running on
 another host (or just another container).
 
-Message schema (transport-independent; array payloads appear in-band):
+Message schema (transport-independent; array payloads appear in-band).
+Every frame has one fixed arity:
 
 ==============================  =========================================
 parent -> worker                worker -> parent
 ==============================  =========================================
-``("run", batch, seq[, ctx])``  ``("ok", seq, result, compute_s[, obs])``
+``("init", spec, options)``     ``("ready", meta)`` or
+                                ``("fatal", message)``
+``("run", batch, seq, ctx)``    ``("ok", seq, result, compute_s, obs)``
                                 or ``("err", seq, message)``
 ``("ping", seq)``               ``("pong", seq)``
 ``("stop",)``                   (conversation over)
 ==============================  =========================================
 
-The optional trailing elements carry observability: ``ctx`` is the
-parent's trace context (``{"trace_ids": [...]}``) and ``obs`` the
-worker's reply timing (pid, compute duration) that the serving layer
-stitches into the request traces.  Both sides tolerate the short forms,
-so mixed-version parents and workers interoperate.
-
-plus a one-shot startup handshake -- ``("ready", meta)`` on success,
-``("fatal", message)`` on a worker that could not build its session --
-surfaced through :meth:`Transport.start`'s return value or
+``init`` opens a :class:`SocketTransport` conversation (a spawned worker
+receives its spec and options as process arguments instead); the
+one-shot ``ready``/``fatal`` handshake surfaces through
+:meth:`Transport.start`'s return value or
 :class:`~repro.cluster.errors.WorkerStartupError`.
+
+``ctx`` and ``obs`` carry observability: ``ctx`` is the parent's trace
+context (``{"trace_ids": [...]}``) or ``None`` for an untraced request,
+and ``obs`` is the worker's reply timing
+(:func:`~repro.cluster.worker.worker_obs`: pid, compute duration) exactly
+when ``ctx`` is set, ``None`` otherwise.  Parent and worker must run the
+same ``repro`` tree.  A worker answers a frame of any other shape with
+``("err", -1, message)`` and keeps serving; a malformed ``init`` gets
+``fatal``, and a frame that does not decode ends the conversation.  The
+worker side of this table is written once, in
+:func:`repro.cluster.worker.converse`.
 
 * :class:`LocalTransport` spawns the worker as a child process; control
   messages cross a pipe and arrays move through shared-memory arenas
@@ -161,6 +170,19 @@ def parse_address(address) -> Tuple[str, int]:
     raise ValueError(f"worker address must be 'host:port' or (host, port), got {address!r}")
 
 
+def _handshake_meta(message: tuple, who: str, abort) -> dict:
+    """The ``meta`` of a ``("ready", meta)`` handshake.
+
+    A ``("fatal", message)`` handshake runs ``abort`` (the transport's
+    teardown) and raises :class:`~repro.cluster.errors.WorkerStartupError`.
+    """
+    kind, payload = message
+    if kind == "ready":
+        return payload
+    abort()
+    raise WorkerStartupError(f"{who} failed to build its session:\n{payload}")
+
+
 # ---------------------------------------------------------------------- #
 # The interface
 # ---------------------------------------------------------------------- #
@@ -284,27 +306,24 @@ class LocalTransport(Transport):
                 raise WorkerStartupError(
                     f"replica {self.index} did not hand-shake within {self.start_timeout_s:g}s"
                 )
-        message = parent_conn.recv()
-        if message[0] != "ready":
-            detail = message[1] if len(message) > 1 else "?"
+
+        def abort() -> None:
             parent_conn.close()
             proc.join(timeout=2.0)
-            raise WorkerStartupError(f"replica {self.index} failed to build its session:\n{detail}")
+
+        meta = _handshake_meta(parent_conn.recv(), f"replica {self.index}", abort)
         self._proc, self._conn = proc, parent_conn
-        return message[1]
+        return meta
 
     def send(self, message: tuple) -> None:
         if self._conn is None:
             raise BrokenPipeError(f"replica {self.index} transport is not connected")
         if message[0] == "run":
-            # ("run", batch, seq[, ctx]): the batch array moves through
-            # shared memory; the optional trailing trace-context dict --
-            # and any future protocol extension -- rides the pipe as-is.
-            batch, seq = message[1], message[2]
-            ref = self._requests.write(batch)
-            self._conn.send(("run", ref, seq) + tuple(message[3:]))
-        else:
-            self._conn.send(message)
+            # The batch array moves through shared memory; only its
+            # descriptor (and the trace context) rides the pipe.
+            _, batch, seq, ctx = message
+            message = ("run", self._requests.write(batch), seq, ctx)
+        self._conn.send(message)
 
     def poll(self, timeout_s: float) -> bool:
         return self._conn is not None and self._conn.poll(timeout_s)
@@ -312,10 +331,9 @@ class LocalTransport(Transport):
     def recv(self) -> tuple:
         message = self._conn.recv()
         if message[0] == "ok":
-            # ("ok", seq, ref, compute_s[, obs]): materialize the result
-            # array, pass any trailing worker-observability dict through.
-            seq, out_ref, compute_s = message[1], message[2], message[3]
-            return ("ok", seq, self._responses.take(out_ref), compute_s) + tuple(message[4:])
+            # Materialize the result array the descriptor points at.
+            _, seq, out_ref, compute_s, obs = message
+            return ("ok", seq, self._responses.take(out_ref), compute_s, obs)
         return message
 
     def close(self, graceful: bool = True) -> None:
@@ -415,13 +433,7 @@ class SocketTransport(Transport):
             raise WorkerStartupError(
                 f"worker at {host}:{port} did not hand-shake: {exc}"
             ) from exc
-        if message[0] != "ready":
-            detail = message[1] if len(message) > 1 else "?"
-            self.close(graceful=False)
-            raise WorkerStartupError(
-                f"worker at {host}:{port} failed to build its session:\n{detail}"
-            )
-        return message[1]
+        return _handshake_meta(message, f"worker at {host}:{port}", lambda: self.close(graceful=False))
 
     def send(self, message: tuple) -> None:
         if not self.alive:

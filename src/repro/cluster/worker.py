@@ -1,33 +1,25 @@
-"""The replica worker: a spawned child process serving fused batch calls.
+"""The replica worker: one conversation loop, shared by both transports.
 
 Each worker rebuilds an :class:`~repro.engine.InferenceSession` from a
 picklable :class:`~repro.engine.SessionSpec` (its *own* compiled program,
 kernel caches and FFT plans, in its own address space -- this is what
-frees a replica group from the parent's GIL), then answers a tiny
-request/response protocol over a pipe:
+frees a replica group from the parent's GIL), then answers the
+fixed-arity request/response protocol documented in
+:mod:`repro.cluster.transport`.
 
-============================  ===========================================
-parent -> worker              worker -> parent
-============================  ===========================================
-``("run", ref, seq[, ctx])``  ``("ok", seq, ref, compute_s[, obs])`` or
-                              ``("err", seq, message)``
-``("ping", seq)``             ``("pong", seq)``
-``("stop",)``                 (exits after cleanup)
-============================  ===========================================
+:func:`converse` is that protocol, written once: the ``ready``/``fatal``
+handshake, the ``run``/``ping``/``stop`` dispatch and the ``err`` reply.
+A transport supplies only how a frame arrives and leaves:
 
-A ``run`` carrying a trace context ``ctx`` (the request is traced --
-see :mod:`repro.obs`) gets an ``ok`` carrying :func:`worker_obs`: the
-worker's pid and compute duration, which the parent stitches into the
-request's trace as a ``worker.compute`` span.
+* :func:`worker_main` -- a spawned child on this host; frames cross a
+  ``multiprocessing`` pipe and batch arrays travel through shared memory
+  (:mod:`repro.cluster.shm`) as tiny descriptors;
+* :mod:`repro.cluster.remote` -- the ``repro-worker`` TCP server; frames
+  are length-prefixed pickles with the arrays in-band.
 
-plus a one-shot ``("ready", meta)`` / ``("fatal", message)`` handshake
-after the session is built.  ``ref`` descriptors are
-:data:`~repro.cluster.shm.ArrayRef` tuples -- the batch arrays themselves
-move through shared memory (:mod:`repro.cluster.shm`), never through the
-pipe.
-
-A per-request failure answers ``("err", ...)`` and the worker lives on;
-only a broken pipe (parent gone) or ``stop`` ends the loop.  The
+A per-request failure, or a frame that is not one of the fixed forms,
+answers ``("err", ...)`` and the worker lives on; only a closed or
+undecodable stream (parent gone) or ``stop`` ends the conversation.  The
 ``handicap_s`` option adds a fixed sleep to every call: a deliberately
 slowed replica for asymmetric-capacity tests and benchmarks (see
 ``benchmarks/bench_sharded_serving.py``).
@@ -39,14 +31,14 @@ import os
 import signal
 import time
 import traceback
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from repro.cluster.shm import ShmArena, ShmReader
 from repro.engine.spec import SessionSpec
 
-__all__ = ["worker_main", "probe_session", "run_batch", "worker_obs"]
+__all__ = ["converse", "worker_main", "probe_session", "run_batch", "worker_obs"]
 
 
 def worker_obs(compute_s: float, handicap_s: float = 0.0) -> dict:
@@ -55,7 +47,6 @@ def worker_obs(compute_s: float, handicap_s: float = 0.0) -> dict:
     Durations only -- ``time.monotonic``/``perf_counter`` instants are
     process-local and meaningless to the parent, which anchors the
     stitched ``worker.compute`` span inside its own dispatch window.
-    Shared by both worker flavors (pipe+shm child and socket server).
     """
     obs = {"pid": os.getpid(), "compute_ms": compute_s * 1000.0}
     if handicap_s > 0.0:
@@ -83,13 +74,7 @@ def probe_session(session) -> dict:
 
 
 def run_batch(session, batch: np.ndarray, handicap_s: float = 0.0):
-    """One fused call: ``(result, compute_s)`` -- the worker-side hot path.
-
-    Shared by both worker flavors (the pipe+shm child here and the
-    socket-serving :mod:`repro.cluster.remote`) so the measured
-    ``compute_s`` and handicap semantics stay identical across
-    transports.
-    """
+    """One fused call: ``(result, compute_s)`` -- the worker-side hot path."""
     started = time.perf_counter()
     result = session.run(batch, batch_size=len(batch) or None)
     compute_s = time.perf_counter() - started
@@ -98,75 +83,91 @@ def run_batch(session, batch: np.ndarray, handicap_s: float = 0.0):
     return np.asarray(result), compute_s
 
 
+def _identity(payload):
+    return payload
+
+
+def converse(
+    spec: SessionSpec,
+    options: Optional[dict],
+    recv: Callable[[], tuple],
+    send: Callable[[tuple], None],
+    *,
+    load: Callable = _identity,
+    store: Callable = _identity,
+) -> None:
+    """Serve one parent conversation: the handshake, then the call loop.
+
+    ``recv``/``send`` move whole frames; ``load`` turns a ``run`` frame's
+    batch payload into an array and ``store`` turns a result array into
+    the ``ok`` frame's payload (both identity for in-band transports).
+    ``options`` understands ``handicap_s`` (artificial per-call sleep,
+    seconds).  Never raises: a session that cannot be built answers
+    ``("fatal", message)``; a closed or undecodable stream, a send that
+    breaks, or ``stop`` ends the conversation.
+    """
+    try:
+        try:
+            handicap_s = float((options or {}).get("handicap_s") or 0.0)
+            session = spec.build()
+            meta = probe_session(session)
+        except Exception:
+            send(("fatal", traceback.format_exc(limit=8)))
+            return
+        send(("ready", meta))
+        while True:
+            try:
+                message = recv()
+            except Exception:
+                return  # parent gone, or a frame that does not decode
+            match message:
+                case ("stop",):
+                    return
+                case ("ping", seq):
+                    send(("pong", seq))
+                case ("run", payload, seq, ctx):
+                    try:
+                        # ``load`` may alias transport memory; handing it
+                        # straight to run_batch keeps it from outliving
+                        # the call (see worker_main).
+                        result, compute_s = run_batch(session, load(payload), handicap_s)
+                        # A traced request (ctx set) gets the worker's
+                        # timing back for its stitched worker.compute span.
+                        obs = worker_obs(compute_s, handicap_s) if ctx is not None else None
+                        reply = ("ok", seq, store(result), compute_s, obs)
+                    except Exception:
+                        reply = ("err", seq, traceback.format_exc(limit=8))
+                    send(reply)
+                case _:
+                    head = message[0] if isinstance(message, tuple) and message else type(message).__name__
+                    send(("err", -1, f"malformed frame {head!r}: parent and worker must run the same repro tree"))
+    except OSError:
+        return  # send-side breakage: the parent is gone
+
+
 def worker_main(conn, spec: SessionSpec, options: Optional[dict] = None) -> None:
     """Entry point of one replica worker process (``spawn`` start method).
 
-    ``conn`` is the worker end of a ``multiprocessing.Pipe``; ``options``
-    currently understands ``handicap_s`` (artificial per-call sleep,
-    seconds).  Never raises: startup failures are reported as
-    ``("fatal", message)`` and per-request failures as ``("err", ...)``.
+    ``conn`` is the worker end of a ``multiprocessing.Pipe``.  Batch
+    arrays arrive as descriptors into the parent's shared-memory arena
+    and leave through this worker's own arena (:mod:`repro.cluster.shm`).
     """
-    options = options or {}
-    handicap_s = float(options.get("handicap_s") or 0.0)
     # The parent owns worker lifetime (stop message / terminate): a
     # keyboard interrupt aimed at the parent must not race its shutdown.
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main thread / platform
         pass
-
-    try:
-        session = spec.build()
-        meta = probe_session(session)
-    except Exception:
-        try:
-            conn.send(("fatal", traceback.format_exc(limit=8)))
-        finally:
-            conn.close()
-        return
-    conn.send(("ready", meta))
-
     requests = ShmReader()   # parent-owned request arena
     responses = ShmArena()   # worker-owned response arena
     try:
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                return  # parent is gone; nothing left to answer
-            kind = message[0]
-            if kind == "stop":
-                return
-            if kind == "ping":
-                conn.send(("pong", message[1]))
-                continue
-            if kind != "run":  # pragma: no cover - protocol guard
-                conn.send(("err", message[1] if len(message) > 1 else -1, f"unknown message {kind!r}"))
-                continue
-            ref, seq = message[1], message[2]
-            ctx = message[3] if len(message) > 3 else None
-            try:
-                # The view aliases the parent's arena; the session copies
-                # during encoding, and the parent will not overwrite the
-                # block before it has our response.
-                batch = requests.view(ref)
-                result, compute_s = run_batch(session, batch, handicap_s)
-                out_ref = responses.write(result)
-            except Exception:
-                conn.send(("err", seq, traceback.format_exc(limit=8)))
-                continue
-            if ctx is not None:
-                # Traced request: ship the compute timing back so the
-                # parent can stitch a worker.compute span into the trace
-                # (clocks do not align across processes, so durations
-                # travel, not instants).
-                conn.send(("ok", seq, out_ref, compute_s, worker_obs(compute_s, handicap_s)))
-            else:
-                conn.send(("ok", seq, out_ref, compute_s))
-            # The view from this iteration must not outlive the message:
-            # a lingering reference pins the parent's arena mmap and
-            # turns the shutdown close into a BufferError.
-            del batch
+        # The request view aliases the parent's arena: the session copies
+        # during encoding, and the parent will not overwrite the block
+        # before it has our response.  No view may outlive its call -- a
+        # lingering reference pins the parent's arena mmap and turns the
+        # shutdown close below into a BufferError -- so converse() hands
+        # it straight to the session and never binds it.
+        converse(spec, options, conn.recv, conn.send, load=requests.view, store=responses.write)
     finally:
         requests.close()
         responses.close(unlink=True)
