@@ -14,8 +14,8 @@ every layer:
   ring with slow-request exemplars (``GET /v1/traces/{id}``,
   ``GET /v1/traces?slow=N``).
 * **Prometheus exposition** (:mod:`repro.obs.prom`): ``GET /metrics``
-  renders batcher counters, latency histograms, per-replica rows,
-  autoscaler state, store identity and gateway limits in the text
+  renders batcher counters, the latency windows as summaries, per-replica
+  rows, autoscaler state, store identity and gateway limits in the text
   format -- NaN-free by construction.
 * **Structured logging** (:mod:`repro.obs.log`): JSON-lines events for
   replica restarts, autoscaler decisions, drain timeouts and swaps,
@@ -27,7 +27,7 @@ hot path allocates nothing.  See ``docs/observability.md``.
 """
 
 from repro.obs.log import JsonLogger, get_logger
-from repro.obs.prom import Histogram, MetricsWriter, render_server_metrics
+from repro.obs.prom import MetricsWriter, render_server_metrics
 from repro.obs.trace import (
     Span,
     Trace,
@@ -46,7 +46,6 @@ __all__ = [
     "Trace",
     "Tracer",
     "TraceBuffer",
-    "Histogram",
     "MetricsWriter",
     "JsonLogger",
     "new_trace_id",

@@ -1,21 +1,26 @@
-"""Prometheus text exposition, by hand: counters, gauges, histograms.
+"""Prometheus text exposition, by hand: counters, gauges, summaries.
 
 ``GET /metrics`` renders the serving stack's numbers in the Prometheus
 text format (version 0.0.4) without importing a client library.  The
 format is small enough to emit directly -- ``# HELP``/``# TYPE`` header
-lines, then one sample per line -- and emitting it ourselves keeps three
+lines, then one sample per line -- and emitting it ourselves keeps four
 invariants the stack cares about:
 
 * **NaN-free by construction.**  Percentile windows answer ``nan``
-  before any traffic; :class:`MetricsWriter.sample` silently skips
-  non-finite values, so an idle server scrapes clean (the strict-JSON
-  twin of the ``/v1/stats`` regression).
+  before any traffic; :class:`MetricsWriter` silently skips non-finite
+  values, so an idle server scrapes clean (the strict-JSON twin of the
+  ``/v1/stats`` regression).
 * **Counters are monotonic.**  Everything rendered as ``counter`` maps
   to an ever-increasing Python int maintained by the stats objects.
-* **Histograms are fixed-bucket and cumulative.**  :class:`Histogram`
-  records observations into a constant set of latency buckets (O(log
-  buckets) per observe, no allocation), rendered as the standard
-  ``_bucket{le=...}`` / ``_sum`` / ``_count`` triplet.
+* **Latencies are summaries over the serving windows.**
+  :meth:`MetricsWriter.summary` renders a
+  :class:`~repro.serve.metrics.PercentileWindow` directly: ``quantile``
+  samples from one sorted snapshot of the recent window, ``_sum`` /
+  ``_count`` over its lifetime.  There is no second recorded form, so
+  the scraped p99 is the one ``/v1/stats`` and the autoscaler read.
+* **Each family is one contiguous group.**  Samples are buffered per
+  family and rendered together, header first, however the per-model and
+  per-replica calls interleave.
 
 :func:`render_server_metrics` is the one composition point: it walks the
 per-model :class:`~repro.serve.metrics.BatcherStats` (duck-typed -- this
@@ -27,57 +32,9 @@ tracer counters, and returns the full exposition body.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from typing import Dict, List, Optional
 
-__all__ = ["Histogram", "MetricsWriter", "render_server_metrics", "DEFAULT_BUCKETS_MS"]
-
-#: Fixed latency buckets (milliseconds): sub-ms engine calls through
-#: multi-second stragglers, roughly logarithmic.
-DEFAULT_BUCKETS_MS = (
-    1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0, 2500.0, 5000.0,
-)
-
-
-class Histogram:
-    """Fixed-bucket histogram with Prometheus ``le`` semantics.
-
-    ``observe`` is O(log buckets) (a bisect into the constant bound
-    tuple) and allocation-free; non-finite observations are dropped so
-    the rendered output can never carry NaN.  Buckets are *non*-
-    cumulative internally and cumulated at render time.
-    """
-
-    __slots__ = ("bounds", "counts", "count", "sum")
-
-    def __init__(self, bounds=DEFAULT_BUCKETS_MS):
-        bounds = tuple(float(b) for b in bounds)
-        if not bounds or list(bounds) != sorted(bounds):
-            raise ValueError("histogram bounds must be a non-empty ascending sequence")
-        self.bounds = bounds
-        self.counts = [0] * (len(bounds) + 1)  # +1 for the +Inf bucket
-        self.count = 0
-        self.sum = 0.0
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        if not math.isfinite(value):
-            return
-        self.counts[bisect_left(self.bounds, value)] += 1
-        self.count += 1
-        self.sum += value
-
-    def cumulative(self) -> List[int]:
-        """Per-bucket cumulative counts (last entry equals ``count``)."""
-        out, running = [], 0
-        for bucket in self.counts:
-            running += bucket
-            out.append(running)
-        return out
-
-    def as_dict(self) -> dict:
-        return {"bounds": list(self.bounds), "counts": list(self.counts),
-                "count": self.count, "sum": self.sum}
+__all__ = ["MetricsWriter", "render_server_metrics"]
 
 
 def _escape_label(value: str) -> str:
@@ -98,20 +55,26 @@ def _format_value(value: float) -> str:
 
 
 class MetricsWriter:
-    """Accumulates exposition lines; headers are emitted once per metric."""
+    """Buffers samples per metric family; renders each family as one group.
+
+    Text format 0.0.4 requires all lines of a family to sit together,
+    ``# HELP``/``# TYPE`` first.  Callers emit model by model and replica
+    by replica, so one family's samples arrive interleaved with other
+    families'; :meth:`render` emits families in first-seen order, each
+    with its header and all of its samples.
+    """
 
     def __init__(self):
-        self._lines: List[str] = []
-        self._described: set = set()
+        self._families: Dict[str, List[str]] = {}
 
-    def header(self, name: str, help_text: str, metric_type: str) -> None:
-        if name in self._described:
-            return
-        self._described.add(name)
-        self._lines.append(f"# HELP {name} {help_text}")
-        self._lines.append(f"# TYPE {name} {metric_type}")
+    def _family(self, name: str, help_text: str, metric_type: str) -> List[str]:
+        lines = self._families.get(name)
+        if lines is None:
+            lines = self._families[name] = [f"# HELP {name} {help_text}", f"# TYPE {name} {metric_type}"]
+        return lines
 
-    def sample(self, name: str, labels: Optional[Dict[str, str]], value) -> None:
+    @staticmethod
+    def _sample(lines: List[str], name: str, labels: Optional[Dict[str, str]], value) -> None:
         if value is None:
             return
         if isinstance(value, bool):
@@ -124,26 +87,31 @@ class MetricsWriter:
         if labels:
             pairs = ",".join(f'{key}="{_escape_label(val)}"' for key, val in labels.items())
             rendered = "{" + pairs + "}"
-        self._lines.append(f"{name}{rendered} {_format_value(value)}")
+        lines.append(f"{name}{rendered} {_format_value(value)}")
 
     def counter(self, name: str, help_text: str, value, labels=None) -> None:
-        self.header(name, help_text, "counter")
-        self.sample(name, labels, value)
+        self._sample(self._family(name, help_text, "counter"), name, labels, value)
 
     def gauge(self, name: str, help_text: str, value, labels=None) -> None:
-        self.header(name, help_text, "gauge")
-        self.sample(name, labels, value)
+        self._sample(self._family(name, help_text, "gauge"), name, labels, value)
 
-    def histogram(self, name: str, help_text: str, hist: Histogram, labels=None) -> None:
-        self.header(name, help_text, "histogram")
-        labels = dict(labels or {})
-        for bound, cum in zip(list(hist.bounds) + [math.inf], hist.cumulative()):
-            self.sample(f"{name}_bucket", {**labels, "le": _format_value(float(bound))}, cum)
-        self.sample(f"{name}_sum", labels, hist.sum)
-        self.sample(f"{name}_count", labels, hist.count)
+    def summary(self, name: str, help_text: str, window, labels=None) -> None:
+        """A :class:`~repro.serve.metrics.PercentileWindow` as a summary.
+
+        The ``quantile`` samples come from one ``window.quantiles``
+        snapshot and render only once the window has samples; ``_sum``
+        and ``_count`` are the window's lifetime totals and always render.
+        """
+        lines = self._family(name, help_text, "summary")
+        labels = labels or {}
+        if len(window):
+            for quantile, value in zip(("0.5", "0.95", "0.99"), window.quantiles((50, 95, 99))):
+                self._sample(lines, name, {**labels, "quantile": quantile}, value)
+        self._sample(lines, f"{name}_sum", labels, window.sum)
+        self._sample(lines, f"{name}_count", labels, window.total_recorded)
 
     def render(self) -> str:
-        return "\n".join(self._lines) + "\n"
+        return "\n".join(line for lines in self._families.values() for line in lines) + "\n"
 
 
 # ---------------------------------------------------------------------- #
@@ -192,24 +160,13 @@ def render_server_metrics(
         writer.gauge("repro_mean_batch_size", "Mean fused batch size.",
                      getattr(stats, "mean_batch_size", None), labels)
         for attr, name, help_text in (
-            ("latency_hist", "repro_request_latency_ms", "End-to-end request latency (ms)."),
-            ("queue_wait_hist", "repro_queue_wait_ms", "Submit-to-batch-start wait (ms)."),
-            ("compute_hist", "repro_batch_compute_ms", "Fused engine-call duration (ms)."),
+            ("latency", "repro_request_latency_ms", "End-to-end request latency (ms)."),
+            ("queue_wait", "repro_queue_wait_ms", "Submit-to-batch-start wait (ms)."),
+            ("compute", "repro_batch_compute_ms", "Fused engine-call duration (ms)."),
         ):
-            hist = getattr(stats, attr, None)
-            if isinstance(hist, Histogram):
-                writer.histogram(name, help_text, hist, labels)
-        window = getattr(stats, "latency", None)
-        if window is not None and len(window):
-            # Quantile gauges only exist once the window has samples --
-            # an empty window would be NaN, and NaN never reaches the wire.
-            for quantile, value in zip((0.5, 0.95, 0.99), window.quantiles((50, 95, 99))):
-                writer.gauge(
-                    "repro_request_latency_quantile_ms",
-                    "Sliding-window request latency quantiles (ms).",
-                    value,
-                    {**labels, "quantile": str(quantile)},
-                )
+            window = getattr(stats, attr, None)
+            if window is not None:
+                writer.summary(name, help_text, window, labels)
         for row in getattr(stats, "replicas", None) or []:
             rlabels = {**labels, "replica": str(row.get("replica"))}
             writer.gauge("repro_replica_alive", "Replica liveness (1 = routable).",

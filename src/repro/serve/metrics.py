@@ -9,8 +9,9 @@ rejections, deadline misses).  This module holds those numbers.
 Two pieces:
 
 * :class:`PercentileWindow` -- a fixed-capacity ring buffer of recent
-  observations with percentile/mean queries.  A *sliding* window rather
-  than an all-time histogram: serving telemetry should answer "how is the
+  observations with percentile/mean queries, plus the lifetime count and
+  sum of everything it has seen.  A *sliding* window rather than an
+  all-time distribution: serving telemetry should answer "how is the
   server doing *now*", and a long-gone warm-up spike must age out.
 * :class:`BatcherStats` -- the per-batcher telemetry object
   (:meth:`DynamicBatcher.stats` returns it; ``InferenceServer.stats()``
@@ -20,11 +21,16 @@ Two pieces:
   request latency, so the breakdown tells you whether to tune the policy
   (queue-dominated) or the engine (compute-dominated).
 
+Each latency is recorded once, into its window, and every reader takes
+it from there: ``/v1/stats`` (:meth:`BatcherStats.as_dict`), the
+autoscaler's ``p99_latency_ms`` and the ``GET /metrics`` summaries.
+The p99 an operator scrapes is the p99 the autoscaler acts on.
+
 Thread/async-safety: all mutation happens on the batcher's event loop
 (single worker task), so no locking is needed; reading a snapshot from
-another thread sees a consistent-enough view for monitoring.  The numpy
-percentile call happens at *query* time -- recording an observation is
-O(1) and allocation-free after warm-up.
+another thread sees a consistent-enough view for monitoring.  Sorting
+happens at *query* time -- recording an observation is O(1) and
+allocation-free after warm-up.
 """
 
 from __future__ import annotations
@@ -33,8 +39,6 @@ import math
 from typing import Sequence, Tuple
 
 import numpy as np
-
-from repro.obs.prom import Histogram
 
 #: Default number of recent requests a sliding window remembers.  Big
 #: enough that a p99 over it is meaningful (>= several hundred samples),
@@ -45,9 +49,12 @@ DEFAULT_WINDOW = 1024
 class PercentileWindow:
     """Sliding window over the last ``capacity`` float observations.
 
-    ``record`` is O(1) (ring-buffer overwrite); ``percentile``/``mean``
-    are O(window) at query time.  Percentiles over an empty window return
-    ``nan`` rather than raising, so snapshot code never needs guards.
+    ``record`` is O(1) (ring-buffer overwrite) and drops non-finite
+    values, so neither the window nor the lifetime ``sum`` can carry NaN;
+    ``quantiles``/``mean`` are O(window) at query time.  Percentiles over
+    an empty window return ``nan`` rather than raising, so snapshot code
+    never needs guards.  ``total_recorded`` and ``sum`` cover every
+    observation ever recorded, not just the window.
 
     >>> window = PercentileWindow(capacity=4)
     >>> for value in [1.0, 2.0, 3.0, 4.0, 100.0]:
@@ -56,6 +63,8 @@ class PercentileWindow:
     4
     >>> window.percentile(50)  # median of [2, 3, 4, 100]
     3.5
+    >>> window.total_recorded, window.sum
+    (5, 110.0)
     """
 
     def __init__(self, capacity: int = DEFAULT_WINDOW):
@@ -64,12 +73,17 @@ class PercentileWindow:
         self.capacity = int(capacity)
         self._buffer = np.empty(self.capacity, dtype=float)
         self._count = 0  # total observations ever recorded
+        self._sum = 0.0  # and their total
         self._next = 0   # ring-buffer write cursor
 
     def record(self, value: float) -> None:
-        self._buffer[self._next] = float(value)
+        value = float(value)
+        if not math.isfinite(value):
+            return
+        self._buffer[self._next] = value
         self._next = (self._next + 1) % self.capacity
         self._count += 1
+        self._sum += value
 
     def __len__(self) -> int:
         return min(self._count, self.capacity)
@@ -79,13 +93,16 @@ class PercentileWindow:
         """All-time observation count (window length caps at capacity)."""
         return self._count
 
+    @property
+    def sum(self) -> float:
+        """All-time sum of the recorded observations."""
+        return self._sum
+
     def _values(self) -> np.ndarray:
         return self._buffer[: len(self)]
 
     def percentile(self, q: float) -> float:
-        if len(self) == 0:
-            return float("nan")
-        return float(np.percentile(self._values(), q))
+        return self.quantiles((q,))[0]
 
     def quantiles(self, qs: Sequence[float]) -> Tuple[float, ...]:
         """Several percentiles from **one** sorted snapshot.
@@ -95,8 +112,8 @@ class PercentileWindow:
         consistent (all computed over the *same* observations, even if a
         recording races the query from another thread), and the window
         is sorted once instead of partitioned per quantile.  The
-        interpolation matches ``np.percentile``'s default (linear)
-        exactly.
+        interpolation is ``np.percentile``'s default (linear) term for
+        term, so the answers agree with it bit for bit.
         """
         if len(self) == 0:
             return tuple(float("nan") for _ in qs)
@@ -105,21 +122,24 @@ class PercentileWindow:
         out = []
         for q in qs:
             position = top * (float(q) / 100.0)
-            low = int(math.floor(position))
-            high = min(low + 1, top)
+            if position >= top:
+                out.append(float(values[top]))
+                continue
+            low = int(position)
             fraction = position - low
-            out.append(float(values[low] * (1.0 - fraction) + values[high] * fraction))
+            below, above = values[low], values[low + 1]
+            step = above - below
+            # numpy's lerp: interpolate from the nearer neighbour.
+            if fraction < 0.5:
+                out.append(float(below + step * fraction))
+            else:
+                out.append(float(above - step * (1.0 - fraction)))
         return tuple(out)
 
     def mean(self) -> float:
         if len(self) == 0:
             return float("nan")
         return float(self._values().mean())
-
-    def max(self) -> float:
-        if len(self) == 0:
-            return float("nan")
-        return float(self._values().max())
 
 
 class BatcherStats:
@@ -172,13 +192,6 @@ class BatcherStats:
         self.latency = PercentileWindow(window)
         self.queue_wait = PercentileWindow(window)
         self.compute = PercentileWindow(window)
-        #: Fixed-bucket histograms for the Prometheus exposition
-        #: (``GET /metrics``): cumulative over the batcher's lifetime,
-        #: unlike the sliding windows above.  Recording is O(log buckets)
-        #: and NaN-safe (:class:`repro.obs.Histogram`).
-        self.latency_hist = Histogram()
-        self.queue_wait_hist = Histogram()
-        self.compute_hist = Histogram()
         #: Per-replica breakdown, attached by the server for cluster models.
         self.replicas = None
         #: Autoscaler snapshot (:meth:`~repro.cluster.Autoscaler.snapshot`),
@@ -198,14 +211,11 @@ class BatcherStats:
         self.completed += batch_size
         self.largest_batch = max(self.largest_batch, batch_size)
         self.compute.record(compute_s * 1000.0)
-        self.compute_hist.observe(compute_s * 1000.0)
 
     def record_request(self, queue_wait_s: float, latency_s: float) -> None:
         """One request resolved (per row of the batch)."""
         self.queue_wait.record(queue_wait_s * 1000.0)
         self.latency.record(latency_s * 1000.0)
-        self.queue_wait_hist.observe(queue_wait_s * 1000.0)
-        self.latency_hist.observe(latency_s * 1000.0)
 
     # ------------------------------------------------------------------ #
     # Queries

@@ -3,12 +3,13 @@
 Four layers of coverage:
 
 * pure units -- :class:`Span`/:class:`Trace` mechanics, the trace buffer's
-  ring + slow-exemplar retention, sampling, the fixed-bucket histogram,
-  the Prometheus writer, the JSON logger, and the single-sort
-  ``PercentileWindow.quantiles`` consistency contract;
+  ring + slow-exemplar retention, sampling, the Prometheus writer and
+  its summaries, the JSON logger, and the ``PercentileWindow`` contract
+  (single-sort quantiles, lifetime ``_sum``/``_count``, NaN drop);
 * exposition strictness -- ``GET /metrics`` passes a Prometheus
-  line-grammar check and ``/v1/traces`` parses as *strict* JSON both
-  under zero traffic and while a replica worker is crash-restarting;
+  line-grammar and family-contiguity check and ``/v1/traces`` parses as
+  *strict* JSON both under zero traffic and while a replica worker is
+  crash-restarting; the scraped p99 is the ``/v1/stats`` p99;
 * the ``X-Request-Id`` contract -- every response path echoes the id,
   including refusals answered before routing;
 * the acceptance end-to-end: one HTTP request through the gateway to a
@@ -35,7 +36,6 @@ from repro.gateway import Gateway, GatewayClient, GatewayError, GatewayLimits
 from repro.models.config import DONNConfig
 from repro.models.donn import DONN
 from repro.obs import (
-    Histogram,
     JsonLogger,
     MetricsWriter,
     Span,
@@ -49,7 +49,7 @@ from repro.obs import (
     use_trace,
 )
 from repro.serve import InferenceServer
-from repro.serve.metrics import PercentileWindow
+from repro.serve.metrics import BatcherStats, PercentileWindow
 
 pytestmark = pytest.mark.filterwarnings("ignore::ResourceWarning")
 
@@ -234,29 +234,8 @@ class TestTracer:
 
 
 # ---------------------------------------------------------------------- #
-# Units: histogram + writer + quantiles
+# Units: writer + summaries + quantiles
 # ---------------------------------------------------------------------- #
-class TestHistogram:
-    def test_bucketing_and_cumulative(self):
-        hist = Histogram(bounds=(1.0, 10.0, 100.0))
-        for value in [0.5, 5.0, 50.0, 500.0]:
-            hist.observe(value)
-        assert hist.counts == [1, 1, 1, 1]
-        assert hist.cumulative() == [1, 2, 3, 4]
-        assert hist.count == 4 and hist.sum == pytest.approx(555.5)
-
-    def test_non_finite_observations_are_dropped(self):
-        hist = Histogram(bounds=(1.0,))
-        hist.observe(float("nan"))
-        hist.observe(float("inf"))
-        assert hist.count == 0 and hist.sum == 0.0
-
-    def test_boundary_lands_in_le_bucket(self):
-        hist = Histogram(bounds=(10.0, 20.0))
-        hist.observe(10.0)
-        assert hist.counts[0] == 1  # le="10.0" includes 10.0
-
-
 #: One Prometheus exposition line: a comment header or a sample.
 _PROM_LINE = re.compile(
     r"^(?:"
@@ -268,11 +247,34 @@ _PROM_LINE = re.compile(
 )
 
 
+_METRIC_NAME = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*")
+
+
 def _check_prom_grammar(text: str) -> None:
+    """Line grammar, no NaN, and each family one contiguous group, HELP first."""
     assert text.endswith("\n")
     assert "NaN" not in text
+    types: dict = {}
+    done: set = set()
+    current = None
     for line in text.rstrip("\n").split("\n"):
         assert _PROM_LINE.match(line), f"bad exposition line: {line!r}"
+        if line.startswith("# "):
+            _, keyword, family, rest = line.split(" ", 3)
+            if keyword == "TYPE":
+                types[family] = rest
+        else:
+            family = _METRIC_NAME.match(line).group(0)
+            for suffix in ("_sum", "_count", "_bucket"):
+                base = family[: -len(suffix)]
+                if family.endswith(suffix) and types.get(base) in ("summary", "histogram"):
+                    family = base
+        if family != current:
+            assert family not in done, f"metric family {family!r} is split into several groups"
+            assert line.startswith(f"# HELP {family} "), f"family {family!r} does not open with HELP"
+            if current is not None:
+                done.add(current)
+            current = family
 
 
 class TestMetricsWriter:
@@ -293,14 +295,26 @@ class TestMetricsWriter:
         assert text.count("# TYPE c_total counter") == 1
         assert r"\"ird" in text and r"\n" in text
 
-    def test_histogram_rendering_has_inf_bucket_sum_count(self):
+    def test_summary_renders_window_quantiles_sum_and_count(self):
+        window = PercentileWindow(capacity=8)
         writer = MetricsWriter()
-        hist = Histogram(bounds=(1.0, 10.0))
-        hist.observe(5.0)
-        writer.histogram("h_ms", "a histogram", hist, {"model": "m"})
+        writer.summary("s_ms", "a summary", window, {"model": "m"})
+        cold = writer.render()
+        assert "quantile" not in cold  # an empty window has no quantiles -- and no NaN
+        assert 's_ms_sum{model="m"} 0.0' in cold and 's_ms_count{model="m"} 0' in cold
+        _check_prom_grammar(cold)
+
+        for value in (1.0, 2.0, 3.0, 4.0, 5.0):
+            window.record(value)
+        writer = MetricsWriter()
+        writer.summary("s_ms", "a summary", window, {"model": "m"})
         text = writer.render()
-        assert 'h_ms_bucket{model="m",le="+Inf"} 1' in text
-        assert 'h_ms_count{model="m"} 1' in text
+        assert "# TYPE s_ms summary" in text
+        p50, p95, p99 = window.quantiles((50, 95, 99))
+        assert f's_ms{{model="m",quantile="0.5"}} {p50!r}' in text
+        assert f's_ms{{model="m",quantile="0.95"}} {p95!r}' in text
+        assert f's_ms{{model="m",quantile="0.99"}} {p99!r}' in text
+        assert 's_ms_sum{model="m"} 15.0' in text and 's_ms_count{model="m"} 5' in text
         _check_prom_grammar(text)
 
     def test_render_server_metrics_over_empty_stats_is_clean(self):
@@ -312,16 +326,40 @@ class TestMetricsWriter:
         assert 'repro_submitted_total{model="idle"} 0' in text
         _check_prom_grammar(text)
 
+    def test_families_stay_contiguous_across_models_and_replicas(self):
+        def stats_with(replicas):
+            stats = BatcherStats(window=8)
+            stats.submitted = 2
+            stats.record_batch(2, compute_s=0.004)
+            for wait in (0.001, 0.002):
+                stats.record_request(queue_wait_s=wait, latency_s=wait + 0.004)
+            stats.replicas = replicas
+            return stats
+
+        rows = [
+            {"replica": index, "alive": True, "in_flight": 0, "ewma_latency_ms": 4.0,
+             "dispatched": 1, "failures": 0, "restarts": 0}
+            for index in (0, 1)
+        ]
+        text = render_server_metrics({"a": stats_with(None), "b": stats_with(rows)}, tracer=Tracer())
+        _check_prom_grammar(text)
+        assert text.count("# TYPE repro_submitted_total counter") == 1
+        assert 'repro_replica_alive{model="b",replica="1"} 1' in text
+        block = text.split("# HELP repro_request_latency_ms ")[1].split("# HELP ")[0]
+        assert 'repro_request_latency_ms_count{model="a"} 2' in block
+        assert 'repro_request_latency_ms_count{model="b"} 2' in block
+
 
 class TestPercentileWindowQuantiles:
     def test_quantiles_match_np_percentile_exactly(self):
         rng = np.random.default_rng(11)
         window = PercentileWindow(capacity=512)
-        for value in rng.random(700) * 100.0:
+        values = rng.random(700) * 100.0
+        for value in values:
             window.record(value)
         qs = (50, 95, 99)
         got = window.quantiles(qs)
-        expected = tuple(window.percentile(q) for q in qs)
+        expected = tuple(float(np.percentile(values[-512:], q)) for q in qs)
         assert got == pytest.approx(expected, abs=0.0)  # bit-exact vs np.percentile
 
     def test_quantiles_consistent_within_one_call(self):
@@ -335,6 +373,27 @@ class TestPercentileWindowQuantiles:
     def test_empty_window_answers_nan(self):
         window = PercentileWindow(capacity=4)
         assert all(math.isnan(v) for v in window.quantiles((50, 99)))
+
+    def test_lifetime_sum_and_count_outlive_the_window(self):
+        window = PercentileWindow(capacity=4)
+        for value in range(1, 11):
+            window.record(float(value))
+        assert window.total_recorded == 10 and window.sum == 55.0
+        assert window.quantiles((0, 100)) == (7.0, 10.0)  # only the last 4 remain
+        writer = MetricsWriter()
+        writer.summary("w_ms", "a summary", window)
+        text = writer.render()
+        assert "w_ms_count 10" in text and "w_ms_sum 55.0" in text
+        assert 'w_ms{quantile="0.5"} 8.5' in text
+
+    def test_non_finite_observations_are_dropped(self):
+        window = PercentileWindow(capacity=4)
+        window.record(float("nan"))
+        window.record(float("inf"))
+        window.record(float("-inf"))
+        assert len(window) == 0 and window.total_recorded == 0 and window.sum == 0.0
+        window.record(2.0)
+        assert window.quantiles((50,)) == (2.0,) and window.sum == 2.0
 
 
 # ---------------------------------------------------------------------- #
@@ -448,6 +507,32 @@ class TestExpositionEndpoints:
         status, _, body = traces
         assert status == 200
         assert _strict_json(body)["order"] == "slowest"
+
+    def test_scraped_latency_summary_is_the_stats_window(self, fresh_tracer):
+        async def scenario():
+            server = InferenceServer(max_batch=4, max_wait_ms=1.0)
+            server.add_model("echo", FakeSession())
+            payload = json.dumps({"input": np.ones((4, 4)).tolist()}).encode()
+            async with Gateway(server, port=0) as gateway:
+                for _ in range(7):
+                    status, _, _ = await _raw_request(
+                        gateway.port, _http("POST", "/v1/models/echo/infer", payload)
+                    )
+                    assert status == 200
+                metrics = await _raw_request(gateway.port, _http("GET", "/metrics"))
+                snapshot = server.stats()["echo"].as_dict()
+            return metrics, snapshot
+
+        (status, _, body), snapshot = asyncio.run(scenario())
+        assert status == 200
+        text = body.decode("utf-8")
+        _check_prom_grammar(text)
+        samples = dict(line.rsplit(" ", 1) for line in text.splitlines() if not line.startswith("#"))
+        assert "# TYPE repro_request_latency_ms summary" in text
+        assert float(samples['repro_request_latency_ms{model="echo",quantile="0.99"}']) == snapshot["p99_latency_ms"]
+        assert float(samples['repro_request_latency_ms{model="echo",quantile="0.5"}']) == snapshot["p50_latency_ms"]
+        assert int(samples['repro_request_latency_ms_count{model="echo"}']) == snapshot["completed"] == 7
+        assert "_bucket" not in text
 
     def test_traces_query_validation(self, fresh_tracer):
         async def scenario():

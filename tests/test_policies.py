@@ -46,7 +46,7 @@ class TestPercentileWindow:
         assert window.percentile(50) == pytest.approx(50.5)
         assert window.percentile(99) == pytest.approx(99.01)
         assert window.mean() == pytest.approx(50.5)
-        assert window.max() == 100.0
+        assert window.quantiles((100,))[0] == 100.0
 
     def test_percentiles_are_monotone_in_q(self):
         rng = np.random.default_rng(0)
@@ -65,7 +65,7 @@ class TestPercentileWindow:
             window.record(value)
         assert len(window) == 4
         assert window.total_recorded == 8
-        assert window.max() == 4.0, "aged-out observations must not linger"
+        assert window.quantiles((100,))[0] == 4.0, "aged-out observations must not linger"
         assert window.percentile(50) == pytest.approx(2.5)
 
     def test_empty_window_returns_nan_not_raises(self):
