@@ -35,16 +35,9 @@ from typing import Awaitable, Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.serve import DeadlineExceededError, ServerOverloadedError
+from repro.utils import usable_cores
 
 SubmitFn = Callable[[np.ndarray], Awaitable[np.ndarray]]
-
-
-def usable_cores() -> int:
-    """Scheduler-affinity core count -- on cgroup-limited containers the
-    number that actually bounds multi-process scaling."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1  # pragma: no cover - non-linux
 
 
 def run_metadata(seed: int) -> dict:

@@ -12,9 +12,11 @@ Public surface:
   (batching, streaming, ``plan_summary()`` introspection).  It has no
   public constructor: :func:`compile` is the only way to build one.
 * :func:`get_fft_backend` / :func:`available_backends` -- the FFT
-  dispatch layer (scipy with thread workers when installed, numpy
-  fallback otherwise), re-exported from :mod:`repro.fft`, which training
-  shares.
+  dispatch layer (single-threaded scipy when installed, numpy fallback
+  otherwise), re-exported from :mod:`repro.fft`, which training shares.
+  Threads come from the executor instead: a compiled program runs its
+  field chain over cache-sized image tiles spread over the usable cores
+  (see :class:`~repro.engine.plan.CompiledProgram`).
 * :class:`SessionSpec` -- picklable recipe (``session.to_spec()`` /
   ``spec.build()``) that lets ``repro.cluster`` rebuild the session in a
   spawned worker process.

@@ -68,7 +68,9 @@ class InferenceSession:
         FFT backend: ``"auto"`` (scipy when installed, numpy otherwise),
         ``"scipy"`` or ``"numpy"``.
     workers:
-        Thread count for the scipy backend's batched FFTs.
+        Threads one call may use: the cap on how many cache-sized image
+        tiles of a batch run concurrently (``None``: the usable cores).
+        Every FFT inside a tile runs single-threaded.
     dtype:
         ``"complex128"`` (default, matches autograd to ``1e-10``) or
         ``"complex64"``: reduced-precision mode that halves cached-kernel
@@ -82,9 +84,9 @@ class InferenceSession:
     Raises
     ------
     ValueError
-        From :func:`~repro.engine.compile`, for ``batch_size < 1``, an
-        unknown ``dtype``, an unknown ``backend`` name, or an unknown
-        ``optimize`` level.
+        From :func:`~repro.engine.compile`, for ``batch_size < 1``,
+        ``workers < 1``, an unknown ``dtype``, an unknown ``backend``
+        name, or an unknown ``optimize`` level.
     TypeError
         From :func:`~repro.engine.compile`, when the model is not one of
         :data:`~repro.engine.plan.COMPILABLE_MODELS`, or a configured
@@ -95,12 +97,18 @@ class InferenceSession:
 
     Thread-safety: a compiled session is **immutable between**
     :meth:`refresh` calls -- ``run``/``predict`` only read the cached
-    kernel arrays, so concurrent calls from multiple threads are safe
-    (this is what lets ``repro.serve`` run engine calls in a thread-pool
-    executor).  :meth:`refresh` swaps the compiled program in a single
-    attribute assignment; in-flight calls finish on the snapshot they
-    started with.  The scipy FFT backend additionally parallelizes
-    *within* one call via ``workers``.
+    kernel arrays, and every call owns its intermediates and its output
+    buffer, so concurrent calls from multiple threads are safe (this is
+    what lets ``repro.serve`` run engine calls in a thread-pool executor)
+    and return exactly what serial calls return.  :meth:`refresh` swaps
+    the compiled program in a single attribute assignment; in-flight
+    calls finish on the snapshot they started with.  Within one call,
+    a batch larger than one tile spreads its tiles over up to
+    ``workers`` threads (the caller plus a process-wide pool created on
+    first use and shared by every session); concurrent calls share that
+    pool, and a call never waits for a helper that has not started.
+    Collapsed plans, unbatched inputs and one-tile batches run on the
+    caller's thread alone.
     """
 
     # ------------------------------------------------------------------ #
@@ -119,12 +127,15 @@ class InferenceSession:
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if workers is not None and workers < 1:
+            raise ValueError("workers must be >= 1 (or None for the usable cores)")
         if optimize not in OPTIMIZE_LEVELS:
             raise ValueError(f"optimize must be one of {OPTIMIZE_LEVELS}, got {optimize!r}")
         self.batch_size = int(batch_size)
         self.dtype = _resolve_complex_dtype(dtype)
         self.optimize = optimize
-        self.fft = get_fft_backend(backend, workers=workers)
+        self.workers = None if workers is None else int(workers)
+        self.fft = get_fft_backend(backend)
         self._max_operator_bytes = max_operator_bytes
         self._model = model
         self._recompile()
@@ -159,7 +170,7 @@ class InferenceSession:
         self._plan = plan
         self._pass_report = report
         self._reference_program = None  # lazy full-plane program for collapsed plans
-        self._program = emit(plan, self.fft)
+        self._program = emit(plan, self.fft, self.workers)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -249,7 +260,7 @@ class InferenceSession:
             model_type=type(self._model).__name__,
             batch_size=self.batch_size,
             backend=self.backend_name,
-            workers=self.fft.workers,
+            workers=self.workers,
             dtype=self.dtype.name,
             optimize=self.optimize,
         )
@@ -326,7 +337,7 @@ class InferenceSession:
         if self._program.intensity is not None:
             return self._program.intensity
         if self._reference_program is None:
-            self._reference_program = emit(self._raw_plan, self.fft)
+            self._reference_program = emit(self._raw_plan, self.fft, self.workers)
         return self._reference_program.intensity
 
     def intensity_patterns(self, images, batch_size: Optional[int] = None) -> np.ndarray:

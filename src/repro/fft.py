@@ -7,8 +7,7 @@ batched transforms over the trailing two axes defined here.  Two
 backends are supported:
 
 * **scipy** -- ``scipy.fft`` (pocketfft with a C++ kernel set that is
-  measurably faster than numpy's, plus a ``workers=N`` thread pool that
-  parallelises over the batch axis).  Selected automatically when scipy is
+  measurably faster than numpy's).  Selected automatically when scipy is
   importable.
 * **numpy** -- ``np.fft``, always available; the fallback when scipy is
   absent so neither training nor the engine has a hard dependency beyond
@@ -20,6 +19,11 @@ autograd kernels to ``1e-10`` by contract.  ``overwrite_x=True`` lets the
 scipy backend write the result into its input's buffer when the caller
 owns that buffer; numpy always allocates.
 
+Every transform runs on the calling thread.  Parallelism lives one level
+up: the engine's executor (:class:`repro.engine.plan.CompiledProgram`)
+spreads cache-sized image tiles over a thread pool, and each tile's
+transforms run single-threaded inside it.
+
 Both backends also preserve ``complex64`` inputs for the engine's
 reduced-precision mode: ``scipy.fft`` computes single-precision
 transforms natively, while ``np.fft`` always promotes to ``complex128``,
@@ -30,8 +34,6 @@ without an import cycle.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 import numpy as np
 
@@ -59,11 +61,6 @@ class NumpyFFTBackend:
 
     name = "numpy"
 
-    def __init__(self, workers: Optional[int] = None):
-        # numpy's pocketfft is single threaded; ``workers`` is accepted for
-        # interface compatibility and ignored.
-        self.workers = workers
-
     def fft2(self, field: np.ndarray, norm: str = "backward", overwrite_x: bool = False) -> np.ndarray:
         return _match_input_precision(np.fft.fft2(field, axes=_AXES, norm=norm), field)
 
@@ -72,7 +69,7 @@ class NumpyFFTBackend:
 
 
 class ScipyFFTBackend:
-    """``scipy.fft`` transforms with optional multi-threaded batching.
+    """``scipy.fft`` transforms (single-threaded).
 
     With ``overwrite_x=True`` a C-contiguous complex input is transformed
     in place and returned; pass it only for buffers the caller owns.
@@ -80,15 +77,14 @@ class ScipyFFTBackend:
 
     name = "scipy"
 
-    def __init__(self, module, workers: Optional[int] = None):
+    def __init__(self, module):
         self._fft = module
-        self.workers = int(workers) if workers else None
 
     def fft2(self, field: np.ndarray, norm: str = "backward", overwrite_x: bool = False) -> np.ndarray:
-        return self._fft.fft2(field, axes=_AXES, norm=norm, workers=self.workers, overwrite_x=overwrite_x)
+        return self._fft.fft2(field, axes=_AXES, norm=norm, overwrite_x=overwrite_x)
 
     def ifft2(self, spectrum: np.ndarray, norm: str = "backward", overwrite_x: bool = False) -> np.ndarray:
-        return self._fft.ifft2(spectrum, axes=_AXES, norm=norm, workers=self.workers, overwrite_x=overwrite_x)
+        return self._fft.ifft2(spectrum, axes=_AXES, norm=norm, overwrite_x=overwrite_x)
 
 
 def available_backends() -> tuple:
@@ -99,28 +95,20 @@ def available_backends() -> tuple:
     return tuple(names)
 
 
-def get_fft_backend(name: str = "auto", workers: Optional[int] = None):
-    """Resolve a backend by name.
-
-    Parameters
-    ----------
-    name:
-        ``"auto"`` (scipy when installed, else numpy), ``"scipy"`` or
-        ``"numpy"``.
-    workers:
-        Thread count forwarded to ``scipy.fft``; ignored by numpy.
-    """
+def get_fft_backend(name: str = "auto"):
+    """Resolve a backend by name: ``"auto"`` (scipy when installed, else
+    numpy), ``"scipy"`` or ``"numpy"``."""
     key = name.lower()
     if key == "auto":
         module = _import_scipy_fft()
         if module is not None:
-            return ScipyFFTBackend(module, workers=workers)
-        return NumpyFFTBackend(workers=workers)
+            return ScipyFFTBackend(module)
+        return NumpyFFTBackend()
     if key == "scipy":
         module = _import_scipy_fft()
         if module is None:
             raise RuntimeError("scipy backend requested but scipy is not installed")
-        return ScipyFFTBackend(module, workers=workers)
+        return ScipyFFTBackend(module)
     if key == "numpy":
-        return NumpyFFTBackend(workers=workers)
+        return NumpyFFTBackend()
     raise ValueError(f"unknown FFT backend {name!r}; choose from 'auto', 'scipy', 'numpy'")

@@ -108,7 +108,12 @@ class KerrPhaseLayer(NonlinearLayer):
 
     def apply_numpy(self, field: np.ndarray) -> np.ndarray:
         phase_shift = (field * np.conj(field)).real * self.nonlinear_coefficient
-        modulated = field * np.exp(1j * phase_shift)
+        # Multiply into the fresh rotation with ``field`` as the first
+        # operand.  Swapping a complex product's operands can move its last
+        # bit, and numpy's temporary elision swaps them only for arrays over
+        # 256 KiB, so ``field * np.exp(...)`` would depend on the batch size.
+        modulated = np.exp(1j * phase_shift)
+        np.multiply(field, modulated, out=modulated)
         # 1j * float32 promotes to complex128 on pre-NEP50 numpy; pin the
         # field's own complex dtype so reduced-precision serving stays put.
         return modulated.astype(field.dtype, copy=False)
