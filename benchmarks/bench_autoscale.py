@@ -53,14 +53,11 @@ from __future__ import annotations
 import asyncio
 import os
 import sys
-import time
 
 import numpy as np
 
 from _bench_helpers import cli_value, report, save_results
-from loadgen import ramp_schedule, run_metadata, run_open_loop, usable_cores
-from repro import DONN, DONNConfig
-from repro.engine import compile as engine_compile
+from loadgen import build_session, measure_capacity, ramp_schedule, run_metadata, run_open_loop, usable_cores
 from repro.serve import FixedWindowPolicy, InferenceServer
 
 SMOKE = bool(int(os.environ.get("AUTOSCALE_BENCH_SMOKE", "0"))) or "--smoke" in sys.argv
@@ -117,31 +114,6 @@ AUTOSCALE = {
     # latency trigger.
     "max_inflight_per_replica": 6.0,
 }
-
-
-def _build_session():
-    config = DONNConfig(
-        sys_size=SYS_SIZE,
-        pixel_size=36e-6,
-        distance=0.1,
-        wavelength=532e-9,
-        num_layers=NUM_LAYERS,
-        num_classes=10,
-        seed=1,
-    )
-    return engine_compile(DONN(config), batch_size=64, dtype="complex128")
-
-
-def _raw_capacity(session) -> float:
-    """Single-process images/sec of back-to-back fused calls at B=32."""
-    batch = np.random.default_rng(SEED).uniform(size=(32, SYS_SIZE, SYS_SIZE))
-    session.run(batch)  # warm FFT plans
-    start = time.perf_counter()
-    calls = 0
-    while time.perf_counter() - start < 0.5:
-        session.run(batch)
-        calls += 1
-    return 32 * calls / (time.perf_counter() - start)
 
 
 def _policy_factory():
@@ -315,8 +287,8 @@ async def _run_ramp(session, served: float):
 def _sweep():
     import gc
 
-    session = _build_session()
-    raw = _raw_capacity(session)
+    session = build_session(SYS_SIZE, NUM_LAYERS, batch_size=64)
+    raw = measure_capacity(session, batch=32, seed=SEED)
     served = _served_capacity(session, raw)
 
     gc.collect()

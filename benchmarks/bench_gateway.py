@@ -34,14 +34,11 @@ from __future__ import annotations
 import asyncio
 import os
 import sys
-import time
 
 import numpy as np
 
 from _bench_helpers import cli_value, report, save_results
-from loadgen import LoadResult, run_metadata, run_open_loop
-from repro import DONN, DONNConfig
-from repro.engine import compile as engine_compile
+from loadgen import LoadResult, build_session, measure_capacity, run_metadata, run_open_loop
 from repro.gateway import Gateway, GatewayClient, GatewayLimits
 from repro.serve import InferenceServer
 
@@ -76,31 +73,6 @@ MAX_BATCH = 32
 #: trade-offs at 2 ms windows are bench_slo_serving.py's subject.
 MAX_WAIT_MS = 20.0
 MAX_QUEUE = 4096
-
-
-def _build_session():
-    config = DONNConfig(
-        sys_size=SYS_SIZE,
-        pixel_size=36e-6,
-        distance=0.1,
-        wavelength=532e-9,
-        num_layers=NUM_LAYERS,
-        num_classes=10,
-        seed=1,
-    )
-    return engine_compile(DONN(config), batch_size=MAX_BATCH, dtype="complex128")
-
-
-def _measure_capacity(session) -> float:
-    """Images/sec of back-to-back fused calls at B=32 (the supply side)."""
-    batch = np.random.default_rng(0).uniform(size=(MAX_BATCH, SYS_SIZE, SYS_SIZE))
-    session.run(batch)  # warm FFT plans
-    start = time.perf_counter()
-    calls = 0
-    while time.perf_counter() - start < 0.5:
-        session.run(batch)
-        calls += 1
-    return MAX_BATCH * calls / (time.perf_counter() - start)
 
 
 def _measure_http_capacity(session) -> float:
@@ -178,8 +150,8 @@ def _run_loopback_http(session, rate_rps: float, payloads) -> LoadResult:
 def _sweep():
     import gc
 
-    session = _build_session()
-    engine_capacity = _measure_capacity(session)
+    session = build_session(SYS_SIZE, NUM_LAYERS, batch_size=MAX_BATCH)
+    engine_capacity = measure_capacity(session, batch=MAX_BATCH, seed=0)
     http_capacity = _measure_http_capacity(session)
     bottleneck = min(engine_capacity, http_capacity)
     rng = np.random.default_rng(SEED)

@@ -44,9 +44,7 @@ import sys
 import numpy as np
 
 from _bench_helpers import cli_value, report, save_results
-from loadgen import LoadResult, run_metadata, run_open_loop, usable_cores
-from repro import DONN, DONNConfig
-from repro.engine import compile as engine_compile
+from loadgen import LoadResult, build_session, measure_capacity, run_metadata, run_open_loop, usable_cores
 from repro.obs import Tracer, use_trace
 from repro.serve import InferenceServer
 
@@ -67,33 +65,6 @@ GATE_MIN_CORES = int(os.environ.get("OBS_GATE_MIN_CORES", "4"))
 MAX_BATCH = 32
 MAX_WAIT_MS = 5.0
 MAX_QUEUE = 4096
-
-
-def _build_session():
-    config = DONNConfig(
-        sys_size=SYS_SIZE,
-        pixel_size=36e-6,
-        distance=0.1,
-        wavelength=532e-9,
-        num_layers=NUM_LAYERS,
-        num_classes=10,
-        seed=1,
-    )
-    return engine_compile(DONN(config), batch_size=MAX_BATCH, dtype="complex128")
-
-
-def _measure_capacity(session) -> float:
-    """Images/sec of back-to-back fused calls at B=32 (the supply side)."""
-    import time
-
-    batch = np.random.default_rng(0).uniform(size=(MAX_BATCH, SYS_SIZE, SYS_SIZE))
-    session.run(batch)  # warm FFT plans
-    start = time.perf_counter()
-    calls = 0
-    while time.perf_counter() - start < 0.5:
-        session.run(batch)
-        calls += 1
-    return MAX_BATCH * calls / (time.perf_counter() - start)
 
 
 def _run_mode(session, sample_rate: float, rate_rps: float, payloads) -> LoadResult:
@@ -130,8 +101,8 @@ def _run_mode(session, sample_rate: float, rate_rps: float, payloads) -> LoadRes
 
 
 def _sweep():
-    session = _build_session()
-    capacity = _measure_capacity(session)
+    session = build_session(SYS_SIZE, NUM_LAYERS, batch_size=MAX_BATCH)
+    capacity = measure_capacity(session, batch=MAX_BATCH, seed=0)
     rng = np.random.default_rng(SEED)
     payloads = np.round(rng.uniform(0.0, 1.0, size=(NUM_REQUESTS, SYS_SIZE, SYS_SIZE)), 3)
 

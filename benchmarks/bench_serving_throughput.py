@@ -40,7 +40,7 @@ from _bench_helpers import report, save_results
 from loadgen import run_metadata
 from repro import DONN, DONNConfig
 from repro.engine import compile as engine_compile
-from repro.serve import InferenceServer
+from repro.serve import FixedWindowPolicy, InferenceServer
 
 #: Payload-content seed; recorded in the committed results JSON.
 SEED = int(os.environ.get("SERVING_BENCH_SEED", "42"))
@@ -115,7 +115,10 @@ def _run_serving(session, requests: np.ndarray, max_batch: int):
 
     async def load():
         server = InferenceServer(
-            max_batch=max_batch, max_wait_ms=MAX_WAIT_MS, max_queue=MAX_QUEUE, idle_flush_ms=IDLE_FLUSH_MS
+            policy=lambda: FixedWindowPolicy(
+                max_batch=max_batch, max_wait_ms=MAX_WAIT_MS, idle_flush_ms=IDLE_FLUSH_MS
+            ),
+            max_queue=MAX_QUEUE,
         )
         server.add_model("bench", session)
         latencies = []

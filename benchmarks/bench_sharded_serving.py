@@ -40,14 +40,11 @@ from __future__ import annotations
 import asyncio
 import os
 import sys
-import time
 
 import numpy as np
 
 from _bench_helpers import cli_value, report, save_results
-from loadgen import run_metadata, run_open_loop, usable_cores
-from repro import DONN, DONNConfig
-from repro.engine import compile as engine_compile
+from loadgen import build_session, measure_capacity, run_metadata, run_open_loop, usable_cores
 from repro.serve import FixedWindowPolicy, InferenceServer
 
 SMOKE = bool(int(os.environ.get("SHARDED_BENCH_SMOKE", "0"))) or "--smoke" in sys.argv
@@ -76,31 +73,6 @@ ASYM_RATE_FRACTION = 0.5
 
 #: The 1.5x claim needs real parallel hardware under >= 4 replicas.
 SCALING_GATE_ACTIVE = not SMOKE and REPLICAS >= 4 and usable_cores() >= 4
-
-
-def _build_session():
-    config = DONNConfig(
-        sys_size=SYS_SIZE,
-        pixel_size=36e-6,
-        distance=0.1,
-        wavelength=532e-9,
-        num_layers=NUM_LAYERS,
-        num_classes=10,
-        seed=1,
-    )
-    return engine_compile(DONN(config), batch_size=64, dtype="complex128")
-
-
-def _measure_capacity(session) -> float:
-    """Single-process images/sec of back-to-back fused calls at B=32."""
-    batch = np.random.default_rng(SEED).uniform(size=(32, SYS_SIZE, SYS_SIZE))
-    session.run(batch)  # warm FFT plans
-    start = time.perf_counter()
-    calls = 0
-    while time.perf_counter() - start < 0.5:
-        session.run(batch)
-        calls += 1
-    return 32 * calls / (time.perf_counter() - start)
 
 
 def _policy_factory():
@@ -182,8 +154,8 @@ def _rows_for(mode: str, router: str, results: dict) -> list:
 def _sweep():
     import gc
 
-    session = _build_session()
-    capacity = _measure_capacity(session)
+    session = build_session(SYS_SIZE, NUM_LAYERS, batch_size=64)
+    capacity = measure_capacity(session, batch=32, seed=SEED)
     payloads = np.random.default_rng(SEED).uniform(0.0, 1.0, size=(NUM_REQUESTS, SYS_SIZE, SYS_SIZE))
 
     rows = []

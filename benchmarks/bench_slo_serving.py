@@ -42,14 +42,11 @@ from __future__ import annotations
 import asyncio
 import os
 import sys
-import time
 
 import numpy as np
 
 from _bench_helpers import cli_value, report, save_results
-from loadgen import LoadResult, run_metadata, run_open_loop
-from repro import DONN, DONNConfig
-from repro.engine import compile as engine_compile
+from loadgen import LoadResult, build_session, measure_capacity, run_metadata, run_open_loop
 from repro.serve import AdaptivePolicy, FixedWindowPolicy, InferenceServer, SLOAwarePolicy
 
 SMOKE = bool(int(os.environ.get("SLO_BENCH_SMOKE", "0"))) or "--smoke" in sys.argv
@@ -76,31 +73,6 @@ MIN_RATIO = 0.0 if SMOKE else float(os.environ.get("SLO_RATIO_FLOOR", "1.2"))
 #: lower than the fixed window's, at >= 90% of its throughput.
 MIN_P99_IMPROVEMENT = float(os.environ.get("SLO_P99_FLOOR", "1.5"))
 MIN_SUCCESS = 0.99
-
-
-def _build_session():
-    config = DONNConfig(
-        sys_size=SYS_SIZE,
-        pixel_size=36e-6,
-        distance=0.1,
-        wavelength=532e-9,
-        num_layers=NUM_LAYERS,
-        num_classes=10,
-        seed=1,
-    )
-    return engine_compile(DONN(config), batch_size=64, dtype=DTYPE)
-
-
-def _measure_capacity(session) -> float:
-    """Images/sec of back-to-back fused calls at B=32 (the supply side)."""
-    batch = np.random.default_rng(0).uniform(size=(32, SYS_SIZE, SYS_SIZE))
-    session.run(batch)  # warm FFT plans
-    start = time.perf_counter()
-    calls = 0
-    while time.perf_counter() - start < 0.5:
-        session.run(batch)
-        calls += 1
-    return 32 * calls / (time.perf_counter() - start)
 
 
 def _policies() -> dict:
@@ -138,8 +110,8 @@ def _run_point(session, policy_factory, rate_rps: float, payloads) -> LoadResult
 def _sweep():
     import gc
 
-    session = _build_session()
-    capacity = _measure_capacity(session)
+    session = build_session(SYS_SIZE, NUM_LAYERS, batch_size=64, dtype=DTYPE)
+    capacity = measure_capacity(session, batch=32, seed=0)
     rng = np.random.default_rng(SEED)
     payloads = rng.uniform(0.0, 1.0, size=(NUM_REQUESTS, SYS_SIZE, SYS_SIZE))
 

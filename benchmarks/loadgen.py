@@ -29,11 +29,14 @@ from __future__ import annotations
 import asyncio
 import os
 import platform
+import time
 from dataclasses import dataclass, field
 from typing import Awaitable, Callable, List, Optional, Sequence
 
 import numpy as np
 
+from repro import DONN, DONNConfig
+from repro.engine import compile as engine_compile
 from repro.serve import DeadlineExceededError, ServerOverloadedError
 from repro.utils import usable_cores
 
@@ -54,6 +57,36 @@ def run_metadata(seed: int) -> dict:
         "usable_cores": usable_cores(),
         "python": platform.python_version(),
     }
+
+
+def build_session(sys_size: int, num_layers: int, *, batch_size: int, dtype: str = "complex128"):
+    """The serving benches' model: a seeded linear DONN, compiled for the engine."""
+    config = DONNConfig(
+        sys_size=sys_size,
+        pixel_size=36e-6,
+        distance=0.1,
+        wavelength=532e-9,
+        num_layers=num_layers,
+        num_classes=10,
+        seed=1,
+    )
+    return engine_compile(DONN(config), batch_size=batch_size, dtype=dtype)
+
+
+def measure_capacity(session, *, batch: int, seed: int) -> float:
+    """Images/sec of back-to-back fused calls at ``batch`` (the supply side).
+
+    One warm-up call (FFT plans), then as many calls on one seeded
+    uniform batch as fit in half a second.
+    """
+    images = np.random.default_rng(seed).uniform(size=(batch, *session.input_shape))
+    session.run(images)  # warm FFT plans
+    start = time.perf_counter()
+    calls = 0
+    while time.perf_counter() - start < 0.5:
+        session.run(images)
+        calls += 1
+    return batch * calls / (time.perf_counter() - start)
 
 
 @dataclass

@@ -26,6 +26,7 @@ from repro import DONN, DONNConfig, MultiChannelDONN, SegmentationDONN
 from repro.engine import compile as engine_compile
 from repro.serve import (
     DeadlineExceededError,
+    FixedWindowPolicy,
     InferenceServer,
     ServerOverloadedError,
     SLOAwarePolicy,
@@ -49,9 +50,9 @@ async def main() -> None:
     digits, rgb, scenes = build_models()
     rng = np.random.default_rng(7)
 
-    # One server, three tenants.  max_batch/max_wait_ms tune the
-    # throughput/latency trade: bigger batches amortize more fixed cost,
-    # longer waits fuse sparser traffic.  complex64 halves the memory of
+    # One server, three tenants.  max_batch/max_wait_ms set the default
+    # FixedWindowPolicy, the throughput/latency trade: bigger batches
+    # amortize more fixed cost, longer waits fuse sparser traffic.  complex64 halves the memory of
     # the RGB model's cached kernels (accuracy budget: 1e-4 on logits).
     server = InferenceServer(max_batch=32, max_wait_ms=2.0)
     server.add_model("digits", digits)
@@ -88,7 +89,7 @@ async def main() -> None:
 
         # Backpressure is explicit: a tiny queue overflows loudly instead
         # of buffering unboundedly or deadlocking.
-        server.add_model("tiny-queue", engine_compile(digits), max_queue=4, max_batch=1)
+        server.add_model("tiny-queue", engine_compile(digits), max_queue=4, policy=FixedWindowPolicy(max_batch=1))
         flood = [server.submit("tiny-queue", image) for image in digit_images]
         answers = await asyncio.gather(*flood, return_exceptions=True)
         overloaded = sum(isinstance(a, ServerOverloadedError) for a in answers)

@@ -11,9 +11,10 @@ Public surface:
   name, ``async with server:``, ``await server.submit(name, image)``;
   ``stats()`` exposes per-model latency percentiles and counters.
 * :class:`DynamicBatcher` -- per-model request queue + coalescing worker
-  (bounded ``max_queue``, policy-driven fusion and flushing).
-* :class:`BatchingPolicy` and the built-ins -- :class:`FixedWindowPolicy`
-  (static ``max_batch``/``max_wait_ms`` window), :class:`SLOAwarePolicy`
+  (bounded ``max_queue``; fusion and flushing decided by its ``policy``).
+* :class:`BatchingPolicy` and the built-ins -- the one place a batching
+  window is set: :class:`FixedWindowPolicy` (static
+  ``max_batch``/``max_wait_ms`` window), :class:`SLOAwarePolicy`
   (per-request deadlines + EWMA latency model, sheds hopeless requests),
   :class:`AdaptivePolicy` (AIMD batch sizing from queue depth);
   :func:`make_policy` builds one by name.

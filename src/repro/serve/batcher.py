@@ -26,8 +26,9 @@ single-image requests* into exactly that shape of work:
   ``observe`` hook -- the feedback loop adaptive policies learn from.
 
 The mechanism lives here; the throughput/latency trade-off lives in the
-policy.  The default :class:`~repro.serve.policy.FixedWindowPolicy`
-preserves the classic ``max_batch`` / ``max_wait_ms`` window semantics.
+policy, the one place a batching window is set (e.g.
+:class:`~repro.serve.policy.FixedWindowPolicy` for the classic
+``max_batch`` / ``max_wait_ms`` window).
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from repro.obs.trace import (
 )
 from repro.serve.errors import DeadlineExceededError, ServerClosedError, ServerOverloadedError
 from repro.serve.metrics import BatcherStats
-from repro.serve.policy import BatchingPolicy, FixedWindowPolicy, Request
+from repro.serve.policy import BatchingPolicy, Request
 
 _STOP = object()
 
@@ -63,15 +64,8 @@ class DynamicBatcher:
         tests.
     policy:
         A :class:`~repro.serve.policy.BatchingPolicy` owning every
-        batching decision.  Policies are stateful: give each batcher its
-        own instance.  When omitted, a
-        :class:`~repro.serve.policy.FixedWindowPolicy` is built from the
-        three legacy tuning knobs below.
-    max_batch / max_wait_ms / idle_flush_ms:
-        Tuning for the default fixed-window policy (upper bound on fused
-        requests; hard cap on the post-first-arrival linger; early flush
-        once arrivals pause -- see :class:`FixedWindowPolicy`).  Ignored
-        when an explicit ``policy`` is passed.
+        batching decision (fusion cap, linger, deadlines).  Policies are
+        stateful: give each batcher its own instance.
     max_queue:
         Bound on queued (not yet running) requests; beyond it
         :meth:`submit` raises :class:`ServerOverloadedError`.
@@ -140,11 +134,8 @@ class DynamicBatcher:
         self,
         session,
         *,
-        policy: Optional[BatchingPolicy] = None,
-        max_batch: int = 32,
-        max_wait_ms: float = 2.0,
+        policy: BatchingPolicy,
         max_queue: int = 256,
-        idle_flush_ms: Optional[float] = None,
         input_shape: Optional[Sequence[int]] = None,
         run_in_executor: bool = True,
         dispatch=None,
@@ -163,13 +154,7 @@ class DynamicBatcher:
             raise TypeError(f"dispatch must be an async callable, got {type(dispatch).__name__}")
         if shed_retry is not None and not callable(shed_retry):
             raise TypeError(f"shed_retry must be an async callable, got {type(shed_retry).__name__}")
-        if policy is None:
-            # FixedWindowPolicy validates the legacy knobs and reproduces
-            # the pre-policy batcher behavior exactly.
-            policy = FixedWindowPolicy(
-                max_batch=max_batch, max_wait_ms=max_wait_ms, idle_flush_ms=idle_flush_ms
-            )
-        elif not isinstance(policy, BatchingPolicy):
+        if not isinstance(policy, BatchingPolicy):
             raise TypeError(f"policy must be a BatchingPolicy, got {type(policy).__name__}")
         self.session = session
         self.policy = policy

@@ -27,14 +27,16 @@ serializes every model's FFT work through one interpreter.  See
 from __future__ import annotations
 
 import asyncio
+import functools
 import logging
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.serve.batcher import BatcherStats, DynamicBatcher
 from repro.serve.errors import ServerClosedError
-from repro.serve.policy import BatchingPolicy
+from repro.serve.policy import BatchingPolicy, FixedWindowPolicy
 from repro.serve.registry import SessionRegistry
 from repro.obs.log import get_logger as _obs_logger
 
@@ -101,14 +103,14 @@ def _expected_input_shape(session) -> Optional[Sequence[int]]:
     return tuple(shape) if shape is not None else None
 
 
-def _resolve_policy(spec) -> Optional[BatchingPolicy]:
-    """A policy spec is ``None``, a ready instance, or a zero-arg factory.
+def _resolve_policy(spec) -> BatchingPolicy:
+    """A policy spec is a ready instance or a zero-arg factory.
 
     Policies are stateful (EWMA latency model, AIMD target), so each
     batcher needs its *own* instance: server-wide defaults must therefore
     be factories, e.g. ``policy=lambda: SLOAwarePolicy(slo_ms=50)``.
     """
-    if spec is None or isinstance(spec, BatchingPolicy):
+    if isinstance(spec, BatchingPolicy):
         return spec
     if callable(spec):
         policy = spec()
@@ -120,6 +122,29 @@ def _resolve_policy(spec) -> Optional[BatchingPolicy]:
     raise TypeError(
         f"policy must be a BatchingPolicy instance or a zero-arg factory, got {type(spec).__name__}"
     )
+
+
+@dataclass
+class _ServedModel:
+    """Everything the server knows about one model name, in one place.
+
+    ``policy`` is the spec the batcher is built from (an instance or a
+    zero-arg factory); ``max_queue`` is the per-model override (``None``
+    takes the server default).  ``group``/``router`` are set for cluster
+    models (``router`` only when the caller passed a router *instance*),
+    ``ref`` for store-backed ones.  ``batcher``, ``autoscaler`` and
+    ``autoscale_task`` exist only while the server is started.
+    """
+
+    policy: object = None
+    max_queue: Optional[int] = None
+    group: object = None
+    router: object = None
+    ref: object = None
+    autoscale: object = None
+    batcher: Optional[DynamicBatcher] = None
+    autoscaler: object = None
+    autoscale_task: Optional[asyncio.Task] = None
 
 
 class InferenceServer:
@@ -134,11 +159,14 @@ class InferenceServer:
         Default batching policy for every model: a zero-arg factory (each
         model gets a fresh instance) or, for a single-model server, a
         ready :class:`~repro.serve.policy.BatchingPolicy`.  ``None``
-        falls back to the fixed-window knobs below.
-    max_batch / max_wait_ms / max_queue / run_in_executor:
-        Default :class:`DynamicBatcher` tuning for every model; override
-        per model through ``add_model``.  The window knobs only apply to
-        models without an explicit policy.
+        gives each model a fresh
+        :class:`~repro.serve.policy.FixedWindowPolicy` built from
+        ``max_batch`` / ``max_wait_ms``; a per-model window goes through
+        ``add_model(..., policy=...)``.
+    max_queue / run_in_executor:
+        Default :class:`DynamicBatcher` queue bound and executor use for
+        every model; ``max_queue`` can be overridden per model through
+        ``add_model``.
     replicas:
         Default worker-process count per model.  ``1`` (default) serves
         in-process; ``>= 2`` runs each model on a
@@ -198,7 +226,6 @@ class InferenceServer:
         max_batch: int = 32,
         max_wait_ms: float = 2.0,
         max_queue: int = 256,
-        idle_flush_ms: Optional[float] = None,
         run_in_executor: bool = True,
         replicas: int = 1,
         router="round_robin",
@@ -218,34 +245,20 @@ class InferenceServer:
             store = ModelStore(store)
         self.store = store
         self.registry = registry if registry is not None else SessionRegistry(store=store)
-        self._default_policy = policy
-        if policy is not None and not (isinstance(policy, BatchingPolicy) or callable(policy)):
+        if policy is None:
+            policy = functools.partial(FixedWindowPolicy, max_batch=max_batch, max_wait_ms=max_wait_ms)
+        elif not (isinstance(policy, BatchingPolicy) or callable(policy)):
             raise TypeError(
                 f"policy must be a BatchingPolicy instance or a zero-arg factory, got {type(policy).__name__}"
             )
-        self._defaults = {
-            "max_batch": max_batch,
-            "max_wait_ms": max_wait_ms,
-            "max_queue": max_queue,
-            "idle_flush_ms": idle_flush_ms,
-            "run_in_executor": run_in_executor,
-        }
+        self._default_policy = policy
+        self._max_queue = max_queue
+        self._run_in_executor = run_in_executor
         self._default_replicas = int(replicas)
         self._default_router = router
         self._cluster_options = dict(cluster_options or {})
         self._default_autoscale = autoscale
-        self._autoscale_cfgs: Dict[str, object] = {}  # name -> AutoscaleConfig
-        self._autoscalers: Dict[str, object] = {}  # name -> Autoscaler (while started)
-        self._autoscale_tasks: Dict[str, asyncio.Task] = {}
-        self._overrides: Dict[str, dict] = {}
-        self._policies: Dict[str, object] = {}
-        # id(policy/router instance) -> model name, to refuse silently
-        # sharing one stateful object across batchers/groups.
-        self._policy_owners: Dict[int, str] = {}
-        self._router_owners: Dict[int, str] = {}
-        self._batchers: Dict[str, DynamicBatcher] = {}
-        self._groups: Dict[str, object] = {}  # name -> ReplicaGroup (cluster models)
-        self._model_refs: Dict[str, object] = {}  # name -> StoreRef (store-backed models)
+        self._models: Dict[str, _ServedModel] = {}
         self._started = False
         self._closed = False
 
@@ -259,10 +272,7 @@ class InferenceServer:
         *,
         replace: bool = False,
         policy=None,
-        max_batch: Optional[int] = None,
-        max_wait_ms: Optional[float] = None,
         max_queue: Optional[int] = None,
-        idle_flush_ms: Optional[float] = None,
         replicas: Optional[int] = None,
         router=None,
         autoscale=None,
@@ -270,11 +280,13 @@ class InferenceServer:
     ):
         """Register a model (compiled on the spot), a session, or a group.
 
-        ``policy`` (an instance or zero-arg factory) and the batcher
-        tuning arguments override the server-wide defaults for this model
-        only; remaining ``session_kwargs`` (``dtype``, ``backend``, ...)
-        go to ``repro.engine.compile`` when a model is given.  Returns
-        the registered session.
+        ``policy`` (an instance or zero-arg factory, and the one place a
+        per-model batching window is set, e.g.
+        ``policy=FixedWindowPolicy(max_batch=1)``) and ``max_queue``
+        override the server-wide defaults for this model only; remaining
+        ``session_kwargs`` (``dtype``, ``backend``, ...) go to
+        ``repro.engine.compile`` when a model is given.  Returns the
+        registered session.
 
         ``autoscale`` (an :class:`~repro.cluster.AutoscaleConfig` or
         kwargs dict) overrides the server-wide elastic-fleet policy for
@@ -302,7 +314,8 @@ class InferenceServer:
         """
         if self._closed:
             raise ServerClosedError("server is stopped")
-        if name in self._batchers and (replace or name not in self.registry):
+        previous = self._models.get(name)
+        if previous is not None and previous.batcher is not None and (replace or name not in self.registry):
             # Guard before touching the registry: a half-applied swap would
             # leave the live batcher serving a session the registry no
             # longer reports.  The second clause catches re-registering a
@@ -325,9 +338,9 @@ class InferenceServer:
             # instance feeding two batchers would average unrelated models'
             # behavior.  An instance may serve exactly one model;
             # server-wide defaults must be factories.  Checked before the
-            # registry mutates (and *recorded* only after registration
-            # succeeds) so a refused or failed add leaves no trace.
-            owner = self._policy_owners.get(id(spec))
+            # registry mutates, and owned only once the record is stored,
+            # so a refused or failed add leaves no trace.
+            owner = self._owner_of("policy", spec)
             if owner is not None and owner != name:
                 raise TypeError(
                     f"policy instance passed for {name!r} is already serving {owner!r}; "
@@ -362,9 +375,8 @@ class InferenceServer:
                 router_instance = effective_router
                 # Routers hold per-group state (cursor, RNG) mutated under
                 # each group's own lock: one instance feeding two groups
-                # would race.  Same contract (check early, record late) as
-                # the policy-instance guard.
-                owner = self._router_owners.get(id(effective_router))
+                # would race.  Same contract as the policy-instance guard.
+                owner = self._owner_of("router", effective_router)
                 if owner is not None and owner != name:
                     raise TypeError(
                         f"router instance passed for {name!r} is already serving {owner!r}; "
@@ -385,73 +397,49 @@ class InferenceServer:
             session = self.registry.register(name, group, replace=replace)
         else:
             session = self.registry.register(name, model_or_session, replace=replace, **session_kwargs)
-        ref = _as_store_ref(model_or_session)
-        if ref is not None:
-            self._model_refs[name] = ref
-        else:
-            self._model_refs.pop(name, None)
-        # Registration succeeded: only now record instance ownership, so a
-        # refused or failed add leaves stateful policies/routers unclaimed.
-        if isinstance(spec, BatchingPolicy):
-            self._policy_owners[id(spec)] = name
-        if router_instance is not None:
-            self._router_owners[id(router_instance)] = name
-        # Reconcile the group table with what just got registered: a
-        # replace can swap a cluster model for an in-process one (or for
-        # a different group), and the displaced group's workers must not
-        # keep running -- nor keep answering under the old model.
-        displaced = self._groups.pop(name, None)
-        if displaced is not None and displaced is not group:
-            displaced.close()
-        if group is not None:
-            self._groups[name] = group
+        # Registration succeeded: only now does the new record (and with
+        # it the ownership of its policy/router instances) replace the old
+        # one.  A replace can swap a cluster model for an in-process one
+        # (or for a different group), and the displaced group's workers
+        # must not keep running -- nor keep answering under the old model.
+        if previous is not None and previous.group is not None and previous.group is not group:
+            previous.group.close()
         effective_autoscale = explicit_autoscale
         if effective_autoscale is None and group is not None:
             effective_autoscale = self._default_autoscale
-        if effective_autoscale is not None:
-            self._autoscale_cfgs[name] = effective_autoscale
-        else:
-            self._autoscale_cfgs.pop(name, None)
-            self._autoscalers.pop(name, None)
+        entry = self._models[name] = _ServedModel(
+            policy=spec,
+            max_queue=max_queue,
+            group=group,
+            router=router_instance,
+            ref=_as_store_ref(model_or_session),
+            autoscale=effective_autoscale,
+        )
         # Server-side bookkeeping must honor the registry's LRU bound:
         # names the registration just evicted (and that have no live
         # batcher keeping them serving) are gone for good, including any
-        # not-yet-started replica group waiting under them.
+        # not-yet-started replica group waiting under them.  The registry
+        # keeps its own pinned ref, so a store-backed eviction stays
+        # reversible.
         for evicted in self.registry.last_evicted:
-            if evicted not in self._batchers:
-                self._overrides.pop(evicted, None)
-                self._policies.pop(evicted, None)
-                self._autoscale_cfgs.pop(evicted, None)
-                self._autoscalers.pop(evicted, None)
-                # Server bookkeeping only: the *registry* keeps its own
-                # pinned ref, so a store-backed eviction stays reversible.
-                self._model_refs.pop(evicted, None)
-                stale = self._groups.pop(evicted, None)
-                if stale is not None:
-                    stale.close()
-                # Release instance ownership too: a policy/router whose
-                # model is fully gone must be reusable by a later add.
-                for owners in (self._policy_owners, self._router_owners):
-                    for key in [key for key, owner in owners.items() if owner == evicted]:
-                        del owners[key]
-        overrides = {
-            key: value
-            for key, value in (
-                ("max_batch", max_batch),
-                ("max_wait_ms", max_wait_ms),
-                ("max_queue", max_queue),
-                ("idle_flush_ms", idle_flush_ms),
-            )
-            if value is not None
-        }
-        self._overrides[name] = overrides
-        self._policies[name] = policy if policy is not None else self._default_policy
+            stale = self._models.get(evicted)
+            if stale is not None and stale.batcher is None:
+                del self._models[evicted]
+                if stale.group is not None:
+                    stale.group.close()
         if self._started:
             if group is not None and not group.started:
                 group.start()
-            self._batchers[name] = self._make_batcher(name).start()
+            entry.batcher = self._make_batcher(name).start()
             self._start_autoscaler(name)
         return session
+
+    def _owner_of(self, kind: str, instance) -> Optional[str]:
+        """The model whose record holds ``instance`` as its policy/router."""
+        for name, entry in self._models.items():
+            if getattr(entry, kind) is instance:
+                return name
+        return None
 
     async def swap_model(self, name: str, version=None) -> dict:
         """Zero-downtime rolling swap of a cluster model to a stored version.
@@ -481,14 +469,15 @@ class InferenceServer:
         resolver = self.store if self.store is not None else getattr(self.registry, "store", None)
         if resolver is None:
             raise ValueError("swap_model needs a model store (InferenceServer(store=...))")
-        group = self._groups.get(name)
+        entry = self._models.get(name)
+        group = entry.group if entry is not None else None
         if group is None:
             self.registry.get(name)  # raises UnknownModelError for unknown names
             raise ValueError(
                 f"model {name!r} serves in-process; rolling swaps need a replica group "
                 "(add it with replicas >= 2, autoscale=..., or remote workers)"
             )
-        previous = self._model_refs.get(name)
+        previous = entry.ref
         store_name = previous.name if previous is not None else name
         ref = resolver.ref(store_name, version)
         if previous is not None and ref.content_hash == previous.content_hash:
@@ -498,7 +487,7 @@ class InferenceServer:
             await loop.run_in_executor(None, group.swap_spec, ref)
         else:
             group.swap_spec(ref)
-        self._model_refs[name] = ref
+        entry.ref = ref
         logger.info(
             "model %r: swapped to %s@%s (sha256-%.12s...) across %d replica(s)",
             name,
@@ -517,24 +506,22 @@ class InferenceServer:
         return {"model": name, **ref.describe(), "replicas": len(group), "changed": True}
 
     def _make_batcher(self, name: str) -> DynamicBatcher:
-        group = self._groups.get(name)
+        entry = self._models[name]
+        group = entry.group
         # The group outlives a registry LRU eviction (the server owns it);
         # in-process sessions must still be in the registry to serve.
         session = group if group is not None else self.registry.get(name)
-        options = {**self._defaults, **self._overrides.get(name, {})}
-        policy = _resolve_policy(self._policies.get(name))
-        if policy is not None:
-            # The policy owns the window knobs; only queue/executor tuning
-            # still applies at the batcher level.
-            options = {key: options[key] for key in ("max_queue", "run_in_executor")}
+        options = {
+            "max_queue": entry.max_queue if entry.max_queue is not None else self._max_queue,
+            "run_in_executor": self._run_in_executor,
+        }
         if group is not None:
             options["dispatch"] = group.infer
             options["shed_retry"] = group.rescue
             # One outstanding batch per replica: full fleet utilization,
             # backpressure past that.
             options["max_concurrent_dispatches"] = max(1, len(group))
-            autoscale = self._autoscale_cfgs.get(name)
-            if autoscale is not None:
+            if entry.autoscale is not None:
                 # The dispatch semaphore is fixed at construction, so an
                 # elastic fleet sizes it for the cap up front (a fleet
                 # below the cap simply backpressures through the replicas
@@ -542,12 +529,12 @@ class InferenceServer:
                 # traffic displace stale percentile samples fast enough
                 # for the control loop to see its own effect.
                 options["max_concurrent_dispatches"] = max(
-                    1, len(group), autoscale.max_replicas
+                    1, len(group), entry.autoscale.max_replicas
                 )
-                options["stats_window"] = autoscale.stats_window
+                options["stats_window"] = entry.autoscale.stats_window
         return DynamicBatcher(
             session,
-            policy=policy,
+            policy=_resolve_policy(entry.policy),
             input_shape=_expected_input_shape(session),
             name=name,
             **options,
@@ -577,7 +564,7 @@ class InferenceServer:
             # final no-pending check runs with no await before the flag
             # flips, so nothing can slip between.
             while True:
-                pending = [group for group in self._groups.values() if not group.started]
+                pending = [group for group in self._cluster_groups() if not group.started]
                 if not pending:
                     break
                 loop = asyncio.get_running_loop()
@@ -589,33 +576,46 @@ class InferenceServer:
                 if failures:
                     self._closed = True
                     await asyncio.gather(
-                        *(loop.run_in_executor(None, group.close) for group in self._groups.values()),
+                        *(loop.run_in_executor(None, group.close) for group in self._cluster_groups()),
                         return_exceptions=True,
                     )
-                    self._groups.clear()
+                    for entry in self._models.values():
+                        entry.group = None
                     raise failures[0]
             self._started = True
             names = list(self.registry.names())
-            names.extend(name for name in self._groups if name not in names)
+            names.extend(name for name, entry in self._models.items() if entry.group is not None)
             for name in names:
-                if name not in self._batchers:
-                    self._batchers[name] = self._make_batcher(name).start()
-            for name in list(self._autoscale_cfgs):
+                # A name registered straight into a shared registry has no
+                # record yet: it serves under the server-wide default policy.
+                entry = self._models.setdefault(name, _ServedModel(policy=self._default_policy))
+                if entry.batcher is None:
+                    entry.batcher = self._make_batcher(name).start()
+            for name in list(self._models):
                 self._start_autoscaler(name)
         return self
 
+    def _cluster_groups(self) -> list:
+        """The replica groups of every cluster model."""
+        return [entry.group for entry in self._models.values() if entry.group is not None]
+
     def _start_autoscaler(self, name: str) -> None:
         """Build the model's autoscaler and spawn its periodic driver task."""
-        config = self._autoscale_cfgs.get(name)
-        group = self._groups.get(name)
-        batcher = self._batchers.get(name)
-        if config is None or group is None or batcher is None or name in self._autoscale_tasks:
+        entry = self._models[name]
+        if (
+            entry.autoscale is None
+            or entry.group is None
+            or entry.batcher is None
+            or entry.autoscale_task is not None
+        ):
             return
         from repro.cluster import Autoscaler
 
-        scaler = Autoscaler(group, batcher.stats(), config, registry=self.registry, model=name)
-        self._autoscalers[name] = scaler
-        self._autoscale_tasks[name] = asyncio.get_running_loop().create_task(
+        scaler = Autoscaler(
+            entry.group, entry.batcher.stats(), entry.autoscale, registry=self.registry, model=name
+        )
+        entry.autoscaler = scaler
+        entry.autoscale_task = asyncio.get_running_loop().create_task(
             self._autoscale_loop(scaler), name=f"repro-autoscale-{name}"
         )
 
@@ -654,17 +654,17 @@ class InferenceServer:
         # would spawn workers the close sweep below never sees.  A tick
         # already running in the executor cannot be interrupted, but
         # ReplicaGroup.close() serializes with it on the membership lock.
-        tasks = list(self._autoscale_tasks.values())
-        self._autoscale_tasks.clear()
+        entries = list(self._models.values())
+        tasks = [entry.autoscale_task for entry in entries if entry.autoscale_task is not None]
+        batchers = [entry.batcher for entry in entries if entry.batcher is not None]
+        groups = self._cluster_groups()
+        for entry in entries:
+            entry.autoscale_task = entry.batcher = entry.group = None
         for task in tasks:
             task.cancel()
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
-        batchers = list(self._batchers.values())
-        self._batchers.clear()
         await asyncio.gather(*(batcher.stop() for batcher in batchers))
-        groups = list(self._groups.values())
-        self._groups.clear()
         if groups:
             loop = asyncio.get_running_loop()
             await asyncio.gather(*(loop.run_in_executor(None, group.close) for group in groups))
@@ -697,11 +697,10 @@ class InferenceServer:
         """
         if self._closed:
             raise ServerClosedError("server is stopped")
-        try:
-            batcher = self._batchers[name]
-        except KeyError:
+        batcher = self._batcher(name)
+        if batcher is None:
             self.registry.get(name)  # raises UnknownModelError for unknown names
-            raise ServerClosedError("server is not started (use `async with server:` or await start())") from None
+            raise ServerClosedError("server is not started (use `async with server:` or await start())")
         return await batcher.submit(payload, slo_ms=slo_ms)
 
     async def submit_many(self, name: str, payloads) -> np.ndarray:
@@ -716,12 +715,17 @@ class InferenceServer:
         # like.  Prefer the live batcher's session: a model the LRU
         # registry evicted keeps serving through its batcher, and an
         # empty burst must not be the one call that raises.
-        batcher = self._batchers.get(name)
+        batcher = self._batcher(name)
         session = batcher.session if batcher is not None else self.registry.get(name)
         shape = getattr(session, "input_shape", None)
         if shape is not None:
             return session.run(np.empty((0, *shape)))
         return np.empty((0,))
+
+    def _batcher(self, name: str) -> Optional[DynamicBatcher]:
+        """The live batcher serving ``name`` (``None`` when not started)."""
+        entry = self._models.get(name)
+        return entry.batcher if entry is not None else None
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -741,14 +745,17 @@ class InferenceServer:
         models report full metadata only once their workers have
         hand-shaken (i.e. after :meth:`start`).
         """
-        names = list(self.registry.names())
-        names.extend(name for name in self._groups if name not in names)
-        names.extend(name for name in self._batchers if name not in names)
+        names = set(self.registry.names())
+        names.update(
+            name
+            for name, entry in self._models.items()
+            if entry.group is not None or entry.batcher is not None
+        )
         models: Dict[str, dict] = {}
-        for name in sorted(set(names)):
-            ref = self._model_refs.get(name)
-            version = ref.describe() if ref is not None else None
-            group = self._groups.get(name)
+        for name in sorted(names):
+            entry = self._models.get(name) or _ServedModel()
+            version = entry.ref.describe() if entry.ref is not None else None
+            group = entry.group
             if group is not None:
                 meta = group.meta or {}
                 shape = meta.get("input_shape")
@@ -760,11 +767,11 @@ class InferenceServer:
                     "dtype": meta.get("dtype"),
                     "replicas": len(group),
                     "router": group.router_name,
-                    "autoscale": name in self._autoscale_cfgs,
+                    "autoscale": entry.autoscale is not None,
                     "store": version,
                 }
                 continue
-            batcher = self._batchers.get(name)
+            batcher = entry.batcher
             session = batcher.session if batcher is not None else self.registry.get(name)
             shape = getattr(session, "input_shape", None)
             dtype = getattr(session, "dtype", None)
@@ -796,14 +803,13 @@ class InferenceServer:
         worker process).
         """
         snapshot: Dict[str, BatcherStats] = {}
-        for name, batcher in self._batchers.items():
-            stats = batcher.stats()
-            group = self._groups.get(name)
-            stats.replicas = group.stats() if group is not None else None
-            scaler = self._autoscalers.get(name)
-            stats.autoscaler = scaler.snapshot() if scaler is not None else None
-            ref = self._model_refs.get(name)
-            stats.store = ref.describe() if ref is not None else None
+        for name, entry in self._models.items():
+            if entry.batcher is None:
+                continue
+            stats = entry.batcher.stats()
+            stats.replicas = entry.group.stats() if entry.group is not None else None
+            stats.autoscaler = entry.autoscaler.snapshot() if entry.autoscaler is not None else None
+            stats.store = entry.ref.describe() if entry.ref is not None else None
             snapshot[name] = stats
         return snapshot
 

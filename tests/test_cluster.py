@@ -403,6 +403,18 @@ class TestReplicaGroup:
             server.add_model("duplicate", tiny_session, replicas=2, router=router)
         server.add_model("good", tiny_session, replicas=2, router=router)  # no stale owner
 
+    def test_replaced_router_instance_is_free_for_another_model(self, tiny_session):
+        """Ownership follows the model's current record: once a replace
+        moves ``one`` to another router, the displaced instance serves
+        nothing and a second cluster model may take it.  The server is
+        never started, so no worker process spawns."""
+        displaced = LeastLoadedRouter()
+        server = InferenceServer()
+        server.add_model("one", tiny_session, replicas=2, router=displaced)
+        server.add_model("one", tiny_session, replicas=2, router=LeastLoadedRouter(), replace=True)
+        server.add_model("two", tiny_session, replicas=2, router=displaced)  # no stale owner
+        assert "two" in server.registry
+
     def test_failed_server_start_closes_sibling_groups(self, tiny_session):
         """When one group's startup fails, siblings' already-spawned
         workers must be reclaimed even though __aexit__ never runs."""
@@ -432,9 +444,9 @@ class TestReplicaGroup:
         drop (and close) the displaced group, not keep serving through it."""
         server = InferenceServer()
         server.add_model("m", tiny_session, replicas=2)
-        displaced = server._groups["m"]
+        displaced = server._models["m"].group
         server.add_model("m", tiny_session, replace=True)  # back to in-process
-        assert "m" not in server._groups, "stale group would shadow the new session"
+        assert server._models["m"].group is None, "stale group would shadow the new session"
         assert not displaced.started
 
         image = rng.uniform(size=(16, 16))

@@ -310,7 +310,8 @@ class TestSLOSemanticsThroughTheBatcher:
         fake = FakeSession()
 
         async def scenario():
-            batcher = DynamicBatcher(fake, run_in_executor=False)  # fixed window: no default deadline
+            # Fixed window: no default deadline.
+            batcher = DynamicBatcher(fake, policy=FixedWindowPolicy(), run_in_executor=False)
             generous = asyncio.create_task(batcher.submit(np.ones((2, 2))))
             doomed = asyncio.create_task(batcher.submit(np.ones((2, 2)), slo_ms=1.0))
             await asyncio.sleep(0.01)
@@ -386,7 +387,7 @@ class TestSLOSemanticsThroughTheBatcher:
                 await server.submit("digits", image)
                 await server.submit("adaptive-digits", image)
                 policies = {
-                    name: type(batcher.policy).__name__ for name, batcher in server._batchers.items()
+                    name: type(entry.batcher.policy).__name__ for name, entry in server._models.items()
                 }
                 stats = {name: s.as_dict() for name, s in server.stats().items()}
             return policies, stats
@@ -410,6 +411,19 @@ class TestSLOSemanticsThroughTheBatcher:
         assert "second" not in server.registry, "refused add must leave no trace"
         # A fresh instance (or a factory default) is the supported path.
         server.add_model("second", DONN(small_config), policy=SLOAwarePolicy(slo_ms=50.0))
+
+    def test_replaced_policy_instance_is_free_for_another_model(self, small_config):
+        """Ownership follows the model's current record: once a replace
+        swaps ``first`` over to another policy, the displaced instance
+        serves nothing and a second model may take it."""
+        from repro import DONN
+
+        displaced = SLOAwarePolicy(slo_ms=50.0)
+        server = InferenceServer()
+        server.add_model("first", DONN(small_config), policy=displaced)
+        server.add_model("first", DONN(small_config), policy=SLOAwarePolicy(slo_ms=50.0), replace=True)
+        server.add_model("second", DONN(small_config), policy=displaced)  # no stale owner
+        assert "second" in server.registry
 
     def test_server_rejects_bad_policy_spec(self):
         with pytest.raises(TypeError):

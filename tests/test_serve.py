@@ -47,7 +47,9 @@ class TestDynamicBatching:
         fake = FakeSession()
 
         async def scenario():
-            batcher = DynamicBatcher(fake, max_batch=16, max_wait_ms=100, run_in_executor=False)
+            batcher = DynamicBatcher(
+                fake, policy=FixedWindowPolicy(max_batch=16, max_wait_ms=100), run_in_executor=False
+            )
             batcher.start()
             payloads = [np.full((4, 4), float(i)) for i in range(8)]
             results = await asyncio.gather(*(batcher.submit(p) for p in payloads))
@@ -63,7 +65,7 @@ class TestDynamicBatching:
         fake = FakeSession()
 
         async def scenario():
-            batcher = DynamicBatcher(fake, max_batch=4, max_wait_ms=50, run_in_executor=False)
+            batcher = DynamicBatcher(fake, policy=FixedWindowPolicy(max_batch=4, max_wait_ms=50), run_in_executor=False)
             batcher.start()
             payloads = [np.full((2, 2), float(i)) for i in range(10)]
             results = await asyncio.gather(*(batcher.submit(p) for p in payloads))
@@ -81,7 +83,7 @@ class TestDynamicBatching:
         fake = FakeSession()
 
         async def scenario():
-            batcher = DynamicBatcher(fake, max_batch=8, max_wait_ms=0, run_in_executor=False)
+            batcher = DynamicBatcher(fake, policy=FixedWindowPolicy(max_batch=8, max_wait_ms=0), run_in_executor=False)
             # Queue up before the worker exists, then start: one sweep, one call.
             tasks = [asyncio.create_task(batcher.submit(np.full((2, 2), float(i)))) for i in range(5)]
             await asyncio.sleep(0)
@@ -98,7 +100,9 @@ class TestDynamicBatching:
         fake = FakeSession()
 
         async def scenario():
-            batcher = DynamicBatcher(fake, max_batch=4, max_wait_ms=0, max_queue=2, run_in_executor=False)
+            batcher = DynamicBatcher(
+                fake, policy=FixedWindowPolicy(max_batch=4, max_wait_ms=0), max_queue=2, run_in_executor=False
+            )
             # Worker not started: the bounded queue fills, the third submit
             # must fail fast -- not block forever.
             pending = [asyncio.create_task(batcher.submit(np.ones((2, 2)) * i)) for i in range(2)]
@@ -120,7 +124,9 @@ class TestDynamicBatching:
         fake = FakeSession()
 
         async def scenario():
-            batcher = DynamicBatcher(fake, max_queue=1, max_wait_ms=0, run_in_executor=False)
+            batcher = DynamicBatcher(
+                fake, policy=FixedWindowPolicy(max_wait_ms=0), max_queue=1, run_in_executor=False
+            )
             task = asyncio.create_task(batcher.submit(np.ones((2, 2))))
             await asyncio.sleep(0)
             with pytest.raises(ServerOverloadedError):
@@ -141,7 +147,7 @@ class TestDynamicBatching:
         fake = FakeSession(fail=True)
 
         async def scenario():
-            batcher = DynamicBatcher(fake, max_batch=8, max_wait_ms=50, run_in_executor=False)
+            batcher = DynamicBatcher(fake, policy=FixedWindowPolicy(max_batch=8, max_wait_ms=50), run_in_executor=False)
             batcher.start()
             results = await asyncio.gather(
                 *(batcher.submit(np.ones((2, 2))) for _ in range(3)), return_exceptions=True
@@ -160,7 +166,7 @@ class TestDynamicBatching:
         fake = FakeSession()
 
         async def scenario():
-            batcher = DynamicBatcher(fake, run_in_executor=False)
+            batcher = DynamicBatcher(fake, policy=FixedWindowPolicy(), run_in_executor=False)
             batcher.start()
             await batcher.stop()
             with pytest.raises(ServerClosedError):
@@ -172,7 +178,7 @@ class TestDynamicBatching:
         fake = FakeSession()
 
         async def scenario():
-            batcher = DynamicBatcher(fake, input_shape=(4, 4), run_in_executor=False)
+            batcher = DynamicBatcher(fake, policy=FixedWindowPolicy(), input_shape=(4, 4), run_in_executor=False)
             batcher.start()
             with pytest.raises(ValueError, match="expects input shape"):
                 await batcher.submit(np.ones((3, 3)))
@@ -183,13 +189,13 @@ class TestDynamicBatching:
     def test_invalid_configuration_rejected(self):
         fake = FakeSession()
         with pytest.raises(ValueError):
-            DynamicBatcher(fake, max_batch=0)
+            FixedWindowPolicy(max_batch=0)
         with pytest.raises(ValueError):
-            DynamicBatcher(fake, max_wait_ms=-1)
+            FixedWindowPolicy(max_wait_ms=-1)
         with pytest.raises(ValueError):
-            DynamicBatcher(fake, max_queue=0)
-        with pytest.raises(TypeError):
-            DynamicBatcher(object())
+            DynamicBatcher(fake, policy=FixedWindowPolicy(), max_queue=0)
+        with pytest.raises(TypeError, match="must expose run"):
+            DynamicBatcher(object(), policy=FixedWindowPolicy())
 
 
 class TestSessionRegistry:
@@ -308,13 +314,15 @@ class TestRegistryLRUEviction:
 
     def test_eviction_prunes_server_bookkeeping_for_idle_names(self, small_config):
         """On a not-started server, an evicted name must not keep growing
-        the server's per-model override/policy tables."""
+        the server's per-model record table."""
         registry = SessionRegistry(max_models=1)
         server = InferenceServer(registry=registry)
         for index in range(4):
-            server.add_model(f"model-{index}", DONN(small_config), max_batch=4)
-        assert set(server._overrides) == {"model-3"}
-        assert set(server._policies) == {"model-3"}
+            server.add_model(
+                f"model-{index}", DONN(small_config), max_queue=4, policy=lambda: FixedWindowPolicy(max_batch=4)
+            )
+        assert set(server._models) == {"model-3"}
+        assert server._models["model-3"].max_queue == 4, "the survivor keeps its override"
 
     def test_reregistering_evicted_live_name_is_refused(self, small_config):
         """A name evicted from the registry but still live on a started
