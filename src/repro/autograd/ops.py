@@ -11,10 +11,12 @@ directly.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence, Tuple
 
 import numpy as np
 
+from repro import tiles
 from repro.autograd.tensor import Tensor
 from repro.fft import get_fft_backend
 
@@ -55,6 +57,34 @@ def ifft2(x: Tensor) -> Tensor:
     return Tensor._make(data, (x,), backward)
 
 
+def _hop(fft, field: np.ndarray, transfer: np.ndarray) -> np.ndarray:
+    """``ifft2(fft2(field) * transfer)`` over the trailing two axes.
+
+    A batch of more than one tile (:mod:`repro.tiles`) runs one tile of
+    images at a time, spread over the shared tile pool, each tile writing
+    its slice of one preallocated output; unbatched fields and one-tile
+    batches run inline.  Every step is per-image or point-wise, so the
+    result is bitwise that of the whole-batch hop.
+    """
+
+    def hop(images: np.ndarray) -> np.ndarray:
+        spectrum = fft.fft2(images)
+        spectrum *= transfer
+        return fft.ifft2(spectrum, overwrite_x=True)
+
+    tile = tiles.tile_images(math.prod(field.shape[1:]) * field.itemsize) if field.ndim > 2 else None
+    if tile is None or len(field) <= tile:
+        return hop(field)
+    # What either FFT backend returns for the field's dtype (complex128 for Tensor data).
+    out = np.empty(field.shape, dtype=np.result_type(field.dtype, np.complex64))
+
+    def work(start: int, stop: int) -> None:
+        out[start:stop] = hop(field[start:stop])
+
+    tiles.run_tiles(work, len(field), tile)
+    return out
+
+
 def propagate(field: Tensor, transfer: np.ndarray) -> Tensor:
     """Differentiable free-space propagation ``ifft2(fft2(field) * transfer)``.
 
@@ -63,19 +93,17 @@ def propagate(field: Tensor, transfer: np.ndarray) -> Tensor:
     constant ``transfer`` and the inverse FFT run in place on it.  Only the
     output is recorded, not the spectrum or the product.  The operator is
     linear, so the backward pass applies its adjoint
-    ``ifft2(fft2(grad) * conj(transfer))`` the same way.
+    ``ifft2(fft2(grad) * conj(transfer))`` the same way.  Both directions
+    run one cache-sized tile of images at a time over the usable cores
+    (:func:`_hop`).
     """
     field = Tensor._coerce(field)
     fft = get_fft_backend()
-    spectrum = fft.fft2(field.data)
-    spectrum *= transfer
-    data = fft.ifft2(spectrum, overwrite_x=True)
+    data = _hop(fft, field.data, transfer)
 
     def backward(grad: np.ndarray) -> None:
         if field.requires_grad:
-            adjoint = fft.fft2(grad)
-            adjoint *= np.conj(transfer)
-            field._accumulate(fft.ifft2(adjoint, overwrite_x=True), fresh=True)
+            field._accumulate(_hop(fft, grad, np.conj(transfer)), fresh=True)
 
     return Tensor._make(data, (field,), backward)
 

@@ -48,15 +48,12 @@ a ``Plan`` is inert data: it can be printed (``format_plan``), counted
 
 from __future__ import annotations
 
-import os
-import queue
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import tiles
 from repro.autograd import no_grad
 from repro.layers.encoding import data_to_cplex, resize_images
 from repro.layers.nonlinearity import NonlinearLayer
@@ -644,37 +641,6 @@ def emit_ops(ops: Sequence[Op], fft, cdtype) -> FieldFn:
     return _emit_chain(ops, fft, cdtype)
 
 
-#: Field bytes one tile may hold.  The executor runs a branch's field
-#: chain over ``max(1, TILE_BYTES // (N*N * itemsize))`` images at a time,
-#: so an op's input, output and temporaries stay in one core's L2 instead
-#: of streaming whole-batch arrays through memory (one image per tile for
-#: a 200x200 complex128 grid).
-TILE_BYTES = 1 << 20
-
-_pool: Optional[ThreadPoolExecutor] = None
-_pool_lock = threading.Lock()
-
-
-def _tile_pool() -> ThreadPoolExecutor:
-    """The process-wide tile pool, created on the first multi-tile run."""
-    global _pool
-    if _pool is None:
-        with _pool_lock:
-            if _pool is None:
-                _pool = ThreadPoolExecutor(max_workers=usable_cores(), thread_name_prefix="repro-tile")
-    return _pool
-
-
-def _forget_pool() -> None:
-    # A forked child inherits the pool object but none of its threads.
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 class CompiledProgram:
     """An emitted plan: the flat numpy program ``InferenceSession`` drives.
 
@@ -687,8 +653,9 @@ class CompiledProgram:
     ``tile`` images runs its field chain (Encode through Intensity,
     summed over channels) one tile at a time, each tile writing its slice
     of one preallocated intensity array; up to ``workers`` threads (the
-    caller plus the process-wide tile pool; default: the usable cores)
-    take tiles concurrently, then the tail runs once on the whole batch.
+    caller plus the process-wide pool of :mod:`repro.tiles`, which
+    training's hop shares; default: the usable cores) take tiles
+    concurrently, then the tail runs once on the whole batch.
     Collapsed plans, unbatched inputs and batches of at most one tile run
     inline on the caller's thread.  Every op is point-wise or a per-image
     transform, so the tiled output is bitwise identical to the untiled one.
@@ -705,7 +672,7 @@ class CompiledProgram:
         self.expects_channels = plan.num_channels is not None
         self.collapsed = plan.collapsed
         self.read_matrix = plan.read_matrix
-        self.tile = max(1, TILE_BYTES // (int(np.prod(plan.grid.shape)) * plan.cdtype.itemsize))
+        self.tile = tiles.tile_images(int(np.prod(plan.grid.shape)) * plan.cdtype.itemsize)
         self.workers = workers or usable_cores()
         self._batched_ndim = 4 if self.expects_channels else 3
         self._branches: List[Tuple[Optional[int], FieldFn]] = []
@@ -761,33 +728,12 @@ class CompiledProgram:
     def _tiled_intensity(self, images: np.ndarray) -> np.ndarray:
         if self.collapsed or images.ndim != self._batched_ndim or len(images) <= self.tile:
             return self._branch_intensity(images)
-        tile = self.tile
         out = np.empty((len(images),) + tuple(self.grid.shape), dtype=self.rdtype)
-        tile_starts = range(0, len(images), tile)
-        starts: queue.SimpleQueue = queue.SimpleQueue()
-        for start in tile_starts:
-            starts.put(start)
 
-        def take_tiles() -> None:
-            while True:
-                try:
-                    start = starts.get_nowait()
-                except queue.Empty:
-                    return
-                out[start : start + tile] = self._branch_intensity(images[start : start + tile])
+        def work(start: int, stop: int) -> None:
+            out[start:stop] = self._branch_intensity(images[start:stop])
 
-        lanes = min(self.workers, len(tile_starts))
-        helpers = [_tile_pool().submit(take_tiles) for _ in range(lanes - 1)]
-        try:
-            take_tiles()
-        finally:
-            # The queue is empty once the caller's own take_tiles returns.
-            # A helper still queued behind other calls' tiles has nothing
-            # left to do, so it is cancelled, not awaited; only helpers
-            # already running hold real tiles.
-            for helper in helpers:
-                if not helper.cancel():
-                    helper.result()
+        tiles.run_tiles(work, len(images), self.tile, self.workers)
         return out
 
     def run(self, images: np.ndarray) -> np.ndarray:

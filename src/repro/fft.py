@@ -20,9 +20,11 @@ scipy backend write the result into its input's buffer when the caller
 owns that buffer; numpy always allocates.
 
 Every transform runs on the calling thread.  Parallelism lives one level
-up: the engine's executor (:class:`repro.engine.plan.CompiledProgram`)
-spreads cache-sized image tiles over a thread pool, and each tile's
-transforms run single-threaded inside it.
+up, in :mod:`repro.tiles`: training's diffraction hop
+(:func:`repro.autograd.ops.propagate`) and the engine's executor
+(:class:`repro.engine.plan.CompiledProgram`) both spread cache-sized image
+tiles over one shared thread pool, and each tile's transforms run
+single-threaded inside it.
 
 Both backends also preserve ``complex64`` inputs for the engine's
 reduced-precision mode: ``scipy.fft`` computes single-precision

@@ -35,7 +35,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import DONN, DONNConfig, MultiChannelDONN, SegmentationDONN
 from repro.engine import compile as engine_compile
-from repro.engine import plan as plan_module
+from repro import tiles
 from repro.utils import usable_cores
 
 settings.register_profile(
@@ -94,7 +94,7 @@ def _compile(model, tile=None, **options):
     if tile is None:
         return engine_compile(model, **options)
     itemsize = np.dtype(options.get("dtype", "complex128")).itemsize
-    with mock.patch.object(plan_module, "TILE_BYTES", tile * SYS_SIZE * SYS_SIZE * itemsize):
+    with mock.patch.object(tiles, "TILE_BYTES", tile * SYS_SIZE * SYS_SIZE * itemsize):
         session = engine_compile(model, **options)
     assert session._program.tile == tile
     return session
@@ -151,7 +151,7 @@ class TestTiledExecutionIsExact:
         are not; the output must not notice."""
         session = _compile(_model(family), dtype=dtype)
         tile = session._program.tile
-        assert tile == plan_module.TILE_BYTES // (SYS_SIZE * SYS_SIZE * np.dtype(dtype).itemsize)
+        assert tile == tiles.TILE_BYTES // (SYS_SIZE * SYS_SIZE * np.dtype(dtype).itemsize)
         images = _images(family, tile + 1, seed=3)
         out = session.run(images)
         np.testing.assert_array_equal(out, _compile(_model(family), tile + 1, dtype=dtype).run(images))
@@ -216,7 +216,7 @@ class TestConcurrentCalls:
         """With every pool thread busy on another call's tiles, a call's
         own helper stays queued; once the caller has taken all its tiles
         itself it must return, not wait for that helper's turn."""
-        monkeypatch.setattr(plan_module, "_pool", ThreadPoolExecutor(max_workers=1))
+        monkeypatch.setattr(tiles, "_pool", ThreadPoolExecutor(max_workers=1))
         long = _compile(_model("donn-saturable"), 1, workers=2)
         short = _compile(_model("donn-saturable"), 2, workers=2)
         expected = short.run(_images("donn-saturable", 5, seed=1))
@@ -249,7 +249,7 @@ class TestConcurrentCalls:
             release.set()
             long_call.join(timeout=60)
             short_call.join(timeout=60)
-            plan_module._pool.shutdown()
+            tiles._pool.shutdown()
         assert results["long"].shape == (4, 4)
 
 
@@ -259,7 +259,7 @@ class TestInlinePath:
         def refuse():
             raise AssertionError("the tile pool was used")
 
-        monkeypatch.setattr(plan_module, "_tile_pool", refuse)
+        monkeypatch.setattr(tiles, "_tile_pool", refuse)
 
     def test_multi_tile_batch_uses_the_pool(self, no_pool):
         session = _compile(_model("donn-saturable"), 2, workers=2)
@@ -283,12 +283,12 @@ class TestInlinePath:
         np.testing.assert_array_equal(serial.run(images), reference.run(images))
 
     def test_pool_is_created_lazily_and_sized_to_the_usable_cores(self, monkeypatch):
-        monkeypatch.setattr(plan_module, "_pool", None)
+        monkeypatch.setattr(tiles, "_pool", None)
         session = _compile(_model("donn-saturable"), 2, workers=2)
         session.run(_images("donn-saturable", 2, seed=0))
-        assert plan_module._pool is None
+        assert tiles._pool is None
         session.run(_images("donn-saturable", 5, seed=0))
-        pool = plan_module._pool
+        pool = tiles._pool
         assert pool is not None
         try:
             assert pool._max_workers == usable_cores()

@@ -1,11 +1,15 @@
 """Tests for the scalar-diffraction propagators (the physics IR of the framework)."""
 
+import dataclasses
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from repro import DONN
+from repro import DONN, tiles
 from repro import fft as fft_dispatch
 from repro.autograd import Adam, Tensor, check_gradients, functional, ops
+from repro.engine import compile as engine_compile
 from repro.optics import (
     DirectIntegrationPropagator,
     FraunhoferPropagator,
@@ -34,6 +38,38 @@ def gaussian_field(optical_grid):
 
 
 WAVELENGTH = 532e-9
+
+#: ``TILE_BYTES`` budgets: every batch in one tile, and one image per tile.
+WHOLE_BATCH_TILE, ONE_IMAGE_TILE = 1 << 40, 1
+
+
+@pytest.fixture
+def tile_budgets(monkeypatch):
+    """Iterate the tile budgets, patching the shared ``TILE_BYTES`` to each."""
+
+    def budgets():
+        for budget in (WHOLE_BATCH_TILE, ONE_IMAGE_TILE):
+            monkeypatch.setattr(tiles, "TILE_BYTES", budget)
+            yield budget
+
+    return budgets
+
+
+@pytest.fixture
+def no_pool(monkeypatch):
+    def refuse():
+        raise AssertionError("the tile pool was used")
+
+    monkeypatch.setattr(tiles, "_tile_pool", refuse)
+
+
+@pytest.fixture
+def own_pool(monkeypatch):
+    """A private tile pool for one test (its size may be patched), shut down after it."""
+    monkeypatch.setattr(tiles, "_pool", None)
+    yield
+    if tiles._pool is not None:
+        tiles._pool.shutdown()
 
 
 class TestFactory:
@@ -203,13 +239,14 @@ class TestFusedPropagate:
 
     @pytest.mark.parametrize("pad_factor", [1, 2])
     @pytest.mark.parametrize("approx", ["rayleigh_sommerfeld", "fresnel", "direct"])
-    def test_gradcheck(self, approx, pad_factor):
+    def test_gradcheck(self, approx, pad_factor, tile_budgets):
         grid = SpatialGrid(size=6, pixel_size=10e-6)
         propagator = make_propagator(approx, grid, WAVELENGTH, 0.001, pad_factor=pad_factor)
         rng = np.random.default_rng(0)
         field = Tensor(rng.normal(size=(2, 6, 6)) + 1j * rng.normal(size=(2, 6, 6)), requires_grad=True)
         weights = rng.normal(size=(2, 6, 6))
-        assert check_gradients(lambda f: (propagator(f).abs2() * weights).sum(), [field], atol=1e-6)
+        for _ in tile_budgets():
+            assert check_gradients(lambda f: (propagator(f).abs2() * weights).sum(), [field], atol=1e-6)
 
     @staticmethod
     def _donn_step(config, images, labels, optimizer_step=False):
@@ -223,19 +260,20 @@ class TestFusedPropagate:
             optimizer.step()
         return float(loss.data), grads, [p.data.copy() for p in model.parameters()]
 
-    def test_two_layer_donn_gradients_match_composed_path(self, monkeypatch, small_config):
+    def test_two_layer_donn_gradients_match_composed_path(self, monkeypatch, small_config, tile_budgets):
         images = np.random.default_rng(2).uniform(size=(3, 32, 32))
         labels = np.array([1, 4, 7])
-        fused_loss, fused_grads, _ = self._donn_step(small_config, images, labels)
+        fused = [self._donn_step(small_config, images, labels)[:2] for _ in tile_budgets()]
         monkeypatch.setattr(
             ops, "propagate", lambda field, transfer: ops.ifft2(ops.fft2(field) * Tensor(transfer))
         )
         composed_loss, composed_grads, _ = self._donn_step(small_config, images, labels)
-        assert fused_loss == pytest.approx(composed_loss, abs=1e-12)
-        assert len(fused_grads) == small_config.num_layers
-        for fused, composed in zip(fused_grads, composed_grads):
-            assert np.abs(composed).max() > 0
-            np.testing.assert_allclose(fused, composed, rtol=0, atol=1e-12)
+        for fused_loss, fused_grads in fused:
+            assert fused_loss == pytest.approx(composed_loss, abs=1e-12)
+            assert len(fused_grads) == small_config.num_layers
+            for fused_grad, composed in zip(fused_grads, composed_grads):
+                assert np.abs(composed).max() > 0
+                np.testing.assert_allclose(fused_grad, composed, rtol=0, atol=1e-12)
 
     def test_numpy_fallback_training_step_matches_scipy(self, monkeypatch, small_config):
         if "scipy" not in fft_dispatch.available_backends():
@@ -257,3 +295,108 @@ class TestFusedPropagate:
         assert numpy_loss == pytest.approx(scipy_loss, abs=1e-10)
         for expected, actual in zip(scipy_grads + scipy_params, numpy_grads + numpy_params):
             np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-10)
+
+
+class TestTiledPropagate:
+    """``ops.propagate`` runs forward and adjoint one tile of images at a
+    time over the shared pool of :mod:`repro.tiles`.  Every step of the hop
+    is per-image or point-wise, so no tiling, lane count or batch size may
+    move a bit of the output, the gradient or a training trajectory."""
+
+    SIZE = 8
+
+    @classmethod
+    def _hop(cls, field, pad_factor):
+        """Forward output and input gradient of one hop."""
+        grid = SpatialGrid(size=cls.SIZE, pixel_size=10e-6)
+        propagator = make_propagator("rayleigh_sommerfeld", grid, WAVELENGTH, 0.001, pad_factor=pad_factor)
+        x = Tensor(field, requires_grad=True)
+        out = propagator(x)
+        weights = np.random.default_rng(7).normal(size=field.shape)
+        (out.abs2() * weights).sum().backward()
+        return out.data, x.grad
+
+    @pytest.mark.parametrize("pad_factor", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 7], ids=["below", "at", "above", "ragged"])
+    def test_output_and_gradient_are_bitwise_equal_across_tiles_and_lanes(
+        self, monkeypatch, own_pool, batch, pad_factor
+    ):
+        """Batches below, at, above and ragged around a two-image tile."""
+        rng = np.random.default_rng(batch)
+        shape = (batch, self.SIZE, self.SIZE)
+        field = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        image_bytes = (self.SIZE * pad_factor) ** 2 * field.itemsize
+        monkeypatch.setattr(tiles, "TILE_BYTES", WHOLE_BATCH_TILE)
+        expected_out, expected_grad = self._hop(field, pad_factor)
+        all_lanes = tiles.usable_lanes()
+        for tile in (1, 2):
+            monkeypatch.setattr(tiles, "TILE_BYTES", tile * image_bytes)
+            for lanes in (1, all_lanes, 4):
+                monkeypatch.setattr(tiles, "usable_lanes", lambda lanes=lanes: lanes)
+                out, grad = self._hop(field, pad_factor)
+                np.testing.assert_array_equal(out, expected_out)
+                np.testing.assert_array_equal(grad, expected_grad)
+
+    def test_two_adam_steps_give_bitwise_equal_parameters(self, monkeypatch, small_config):
+        config = dataclasses.replace(small_config, pad_factor=2)
+        rng = np.random.default_rng(4)
+        images, labels = rng.uniform(size=(5, 32, 32)), np.array([0, 3, 5, 8, 9])
+        target = Tensor(functional.one_hot(labels, config.num_classes))
+
+        def train() -> list:
+            model = DONN(config)
+            optimizer = Adam(model.parameters(), lr=0.1)
+            for _ in range(2):
+                optimizer.zero_grad()
+                functional.softmax_mse_loss(model(images), target).backward()
+                optimizer.step()
+            return [p.data.copy() for p in model.parameters()]
+
+        monkeypatch.setattr(tiles, "TILE_BYTES", WHOLE_BATCH_TILE)
+        untiled = train()
+        monkeypatch.setattr(tiles, "TILE_BYTES", 2 * 64 * 64 * 16)  # two padded images
+        tiled = train()
+        for expected, actual in zip(untiled, tiled):
+            np.testing.assert_array_equal(actual, expected)
+
+    def test_multi_tile_batch_uses_the_pool(self, monkeypatch, own_pool, no_pool):
+        monkeypatch.setattr(tiles, "TILE_BYTES", ONE_IMAGE_TILE)
+        monkeypatch.setattr(tiles, "usable_lanes", lambda: 2)
+        with pytest.raises(AssertionError, match="tile pool"):
+            self._hop(np.ones((2, self.SIZE, self.SIZE), dtype=complex), 1)
+
+    def test_inline_cases_never_touch_the_pool(self, monkeypatch, own_pool, no_pool, small_config):
+        def refuse(*args):
+            raise AssertionError("the hop was tiled")
+
+        monkeypatch.setattr(tiles, "run_tiles", refuse)
+        monkeypatch.setattr(tiles, "TILE_BYTES", ONE_IMAGE_TILE)
+        monkeypatch.setattr(tiles, "usable_lanes", lambda: 2)
+        self._hop(np.ones((self.SIZE, self.SIZE), dtype=complex), 2)  # unbatched
+        self._hop(np.ones((1, self.SIZE, self.SIZE), dtype=complex), 2)  # one tile
+        DONN(small_config)
+
+    def test_training_and_the_engine_share_one_pool(self, monkeypatch, small_config):
+        created = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self)
+
+        monkeypatch.setattr(tiles, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(tiles, "_pool", None)
+        monkeypatch.setattr(tiles, "TILE_BYTES", ONE_IMAGE_TILE)
+        monkeypatch.setattr(tiles, "usable_lanes", lambda: 2)
+        model = DONN(small_config, nonlinearity="saturable")
+        images = np.random.default_rng(5).uniform(size=(3, 32, 32))
+        try:
+            functional.softmax_mse_loss(model(images), Tensor(np.zeros((3, 10)))).backward()
+            assert len(created) == 1
+            session = engine_compile(model, batch_size=8)
+            assert not session.plan_summary()["collapsed"]
+            session.run(images)
+            assert created == [tiles._pool]
+        finally:
+            for pool in created:
+                pool.shutdown()
